@@ -1,5 +1,5 @@
-//! `automate-wdkf`: closed-loop callers share the corpus copies; per copy,
-//! one fresh ECLAIR agent runs the full Demonstrate -> Execute -> Validate
+//! `automate-wdkf`: one closed-loop caller; per corpus copy, one fresh
+//! ECLAIR agent runs the full Demonstrate -> Execute -> Validate
 //! loop (`Eclair::automate`, WD+KF evidence, GPT-4V) over every corpus
 //! task. Plus a traced replica of `automate` built from public functions.
 
@@ -41,20 +41,12 @@ pub struct AgentPass {
     pub wall: Duration,
     pub export: Duration,
     pub export_bytes: usize,
-    /// Process CPU seconds over `wall`.
-    pub cpu: f64,
+    /// Wall and process CPU seconds of each corpus copy: its agent's
+    /// `automate` calls and trace export.
+    pub copy_wall: Vec<f64>,
+    pub copy_cpu: Vec<f64>,
     pub completed: usize,
     pub tokens: u64,
-}
-
-/// One corpus copy's run on its own agent.
-struct CopyRun {
-    copy: usize,
-    reports: Vec<WorkflowReport>,
-    trace: String,
-    samples_ms: Vec<f64>,
-    export: Duration,
-    tokens: u64,
 }
 
 /// One traced replica pass: its digest and layer timings.
@@ -96,74 +88,42 @@ impl AgentLoad {
         self.configs.len() * self.tasks.len()
     }
 
-    /// `callers` threads, each a closed loop over its share of the corpus
-    /// copies (copy `c` goes to caller `c % callers`): per copy, a fresh
-    /// agent automates every task in order and then exports its trace.
-    /// Pushes each `automate` call's wall time in milliseconds.
-    pub fn pass(&self, callers: usize, samples_ms: &mut Vec<f64>) -> AgentPass {
-        let cpu0 = cpu_seconds();
+    /// One closed-loop caller: per corpus copy, a fresh agent automates
+    /// every task in order, each call made when the previous one has
+    /// returned, and then exports its trace. Pushes each `automate`
+    /// call's wall time in milliseconds.
+    pub fn pass(&self, samples_ms: &mut Vec<f64>) -> AgentPass {
+        let mut reports = Vec::with_capacity(self.workflows());
+        let mut traces = Vec::with_capacity(self.configs.len());
+        let mut copy_wall = Vec::with_capacity(self.configs.len());
+        let mut copy_cpu = Vec::with_capacity(self.configs.len());
+        let (mut export, mut tokens) = (Duration::ZERO, 0);
         let start = Instant::now();
-        let mut copies: Vec<CopyRun> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..callers)
-                .map(|caller| {
-                    s.spawn(move || {
-                        self.configs
-                            .iter()
-                            .enumerate()
-                            .skip(caller)
-                            .step_by(callers)
-                            .map(|(copy, config)| self.run_copy(copy, config))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("a caller thread panicked"))
-                .collect()
-        });
+        for config in &self.configs {
+            let (copy_start, cpu0) = (Instant::now(), cpu_seconds());
+            let mut agent = Eclair::new(config.clone());
+            for task in &self.tasks {
+                let call = Instant::now();
+                reports.push(agent.automate(task));
+                samples_ms.push(call.elapsed().as_secs_f64() * 1e3);
+            }
+            let export_start = Instant::now();
+            traces.push(agent.model().trace().to_jsonl());
+            export += export_start.elapsed();
+            copy_cpu.push(cpu_seconds() - cpu0);
+            copy_wall.push(copy_start.elapsed().as_secs_f64());
+            tokens += agent.model().meter().total_tokens();
+        }
         let wall = start.elapsed();
-        let cpu = cpu_seconds() - cpu0;
-        copies.sort_by_key(|c| c.copy);
-        let reports: Vec<WorkflowReport> = copies
-            .iter_mut()
-            .flat_map(|c| c.reports.drain(..))
-            .collect();
-        let traces: Vec<String> = copies
-            .iter_mut()
-            .map(|c| std::mem::take(&mut c.trace))
-            .collect();
-        samples_ms.extend(copies.iter().flat_map(|c| c.samples_ms.iter().copied()));
         AgentPass {
             digest: pass_digest(&reports, &traces),
             wall,
-            export: copies.iter().map(|c| c.export).sum(),
+            export,
             export_bytes: traces.iter().map(String::len).sum(),
-            cpu,
+            copy_wall,
+            copy_cpu,
             completed: reports.iter().filter(|r| r.success).count(),
-            tokens: copies.iter().map(|c| c.tokens).sum(),
-        }
-    }
-
-    /// One corpus copy on a fresh agent.
-    fn run_copy(&self, copy: usize, config: &EclairConfig) -> CopyRun {
-        let mut agent = Eclair::new(config.clone());
-        let mut reports = Vec::with_capacity(self.tasks.len());
-        let mut samples_ms = Vec::with_capacity(self.tasks.len());
-        for task in &self.tasks {
-            let call = Instant::now();
-            reports.push(agent.automate(task));
-            samples_ms.push(call.elapsed().as_secs_f64() * 1e3);
-        }
-        let export_start = Instant::now();
-        let trace = agent.model().trace().to_jsonl();
-        CopyRun {
-            copy,
-            export: export_start.elapsed(),
-            tokens: agent.model().meter().total_tokens(),
-            reports,
-            trace,
-            samples_ms,
+            tokens,
         }
     }
 
@@ -295,9 +255,9 @@ mod tests {
         let load = AgentLoad::new(&eclair_corpus::corpus_tasks()[..2], 6);
         let n = 2 * CORPUS_COPIES;
         let mut samples = Vec::new();
-        let plain = load.pass(1, &mut samples);
+        let plain = load.pass(&mut samples);
         assert_eq!(samples.len(), n);
-        assert_eq!(load.pass(3, &mut Vec::new()).digest, plain.digest);
+        assert_eq!(load.pass(&mut Vec::new()).digest, plain.digest);
         let traced = load.traced_pass();
         assert_eq!(plain.digest, traced.digest);
         assert_eq!(plain.tokens, traced.tokens);

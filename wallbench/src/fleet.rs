@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 use eclair_chaos::{ChaosProfile, ChaosSchedule, ChaosSession};
 use eclair_core::execute::executor::{run_on_session, ExecConfig, RunResult};
 use eclair_fleet::{
-    derive_seed, execute_spec_shared, pricing_for, CancelToken, Fleet, FleetConfig, FleetOutcome,
-    FleetReport, FleetTiming, RetryPolicy, RunOutcome, RunRecord, RunSpec,
+    derive_seed, execute_spec_shared, pricing_for, CancelToken, Fleet, FleetConfig, FleetReport,
+    FleetTiming, RetryPolicy, RunOutcome, RunRecord, RunSpec,
 };
 use eclair_fm::{shared_percept_cache, FmModel, FmProfile, SharedPerceptCache, TokenMeter};
 use eclair_gui::{GuiSurface, Screenshot, Session};
@@ -40,21 +40,74 @@ const BACKOFF_STEP_US: u64 = 250_000;
 pub struct FleetLoad {
     pub config: FleetConfig,
     pub specs: Vec<RunSpec>,
+    /// Specs per corpus copy.
+    copy_len: usize,
 }
 
-/// One `Fleet::run` pass and its export, timed.
+/// Counts summed over a pass's corpus copies.
+#[derive(Debug, Default)]
+pub struct Totals {
+    pub succeeded: u64,
+    pub tokens: u64,
+    pub fm_calls: u64,
+    pub attempts: u64,
+    pub faults: u64,
+}
+
+/// A pass's output, copy by copy in copy order: each copy's outcome JSON
+/// and merged trace JSONL.
+#[derive(Default)]
+struct Output {
+    parts: Vec<String>,
+    trace_bytes: usize,
+    totals: Totals,
+}
+
+impl Output {
+    fn add(&mut self, report: &FleetReport) -> Result<(), String> {
+        let jsonl = report.merged_trace_jsonl().map_err(|e| e.to_string())?;
+        self.add_exported(report, jsonl);
+        Ok(())
+    }
+
+    fn add_exported(&mut self, report: &FleetReport, jsonl: String) {
+        let outcome = &report.outcome;
+        self.totals.succeeded += outcome.succeeded;
+        self.totals.tokens += outcome.tokens.total_tokens();
+        self.totals.fm_calls += outcome.tokens.calls;
+        self.totals.attempts += outcome
+            .records
+            .iter()
+            .map(|r| r.attempts as u64)
+            .sum::<u64>();
+        self.totals.faults += outcome.faults_injected_total();
+        self.trace_bytes += jsonl.len();
+        self.parts.push(outcome.to_json());
+        self.parts.push(jsonl);
+    }
+
+    /// The check digest of the pass.
+    fn digest(&self) -> String {
+        digest(self.parts.iter().map(|s| s.as_bytes()))
+    }
+}
+
+/// One pass of a fresh `Fleet::run` per corpus copy, each followed by its
+/// trace export, timed.
 pub struct FleetPass {
-    pub outcome: FleetOutcome,
     pub digest: String,
-    /// `Fleet::run` plus the trace export.
-    pub wall: Duration,
+    pub totals: Totals,
+    /// Wall and process CPU seconds of each copy: its `Fleet::run` and
+    /// export.
+    pub copy_wall: Vec<f64>,
+    pub copy_cpu: Vec<f64>,
+    /// `Fleet::run` alone, summed over copies: wall and process CPU.
+    pub run_wall: Duration,
+    pub run_cpu: f64,
     pub export: Duration,
     pub export_bytes: usize,
-    /// Process CPU seconds over `wall`.
-    pub cpu: f64,
-    /// Process CPU seconds over `Fleet::run` alone.
-    pub run_cpu: f64,
     pub submit_waits: u64,
+    /// Each copy's shared-cache statistics, summed.
     pub shared: StatsSnapshot,
 }
 
@@ -66,18 +119,9 @@ pub struct SequentialPass {
 
 /// One traced replica pass.
 pub struct TracedPass {
-    pub outcome: FleetOutcome,
     pub digest: String,
+    pub totals: Totals,
     pub layers: Layers,
-}
-
-/// The check digest of a fleet pass: outcome JSON, then merged trace.
-fn pass_digest(report: &FleetReport, jsonl: &str) -> String {
-    digest([report.outcome.to_json().as_bytes(), jsonl.as_bytes()])
-}
-
-fn export(report: &FleetReport) -> Result<String, String> {
-    report.merged_trace_jsonl().map_err(|e| e.to_string())
 }
 
 impl FleetLoad {
@@ -103,101 +147,142 @@ impl FleetLoad {
         let config = FleetConfig::default()
             .with_workers(workers)
             .with_seed(fleet_seed);
-        Self { config, specs }
+        Self {
+            config,
+            specs,
+            copy_len: corpus.len().max(1),
+        }
     }
 
-    /// The reference digest: an untimed `Fleet::run_sequential` pass.
+    /// The specs of each corpus copy, in order.
+    fn copies(&self) -> std::slice::Chunks<'_, RunSpec> {
+        self.specs.chunks(self.copy_len)
+    }
+
+    /// The reference digest: an untimed `Fleet::run_sequential` per copy.
     pub fn reference(&self) -> Result<String, String> {
-        let fleet = Fleet::new(self.config.clone());
-        let report = fleet
-            .run_sequential(self.specs.clone())
-            .map_err(|e| e.to_string())?;
-        Ok(pass_digest(&report, &export(&report)?))
+        let mut out = Output::default();
+        for copy in self.copies() {
+            let fleet = Fleet::new(self.config.clone());
+            let report = fleet
+                .run_sequential(copy.to_vec())
+                .map_err(|e| e.to_string())?;
+            out.add(&report)?;
+        }
+        Ok(out.digest())
     }
 
-    /// The production path: a fresh `Fleet` runs every spec on its
-    /// workers and the merged trace is exported.
+    /// The production path: per corpus copy, a fresh `Fleet` runs every
+    /// spec on its workers and the merged trace is exported.
     pub fn fleet_pass(&self) -> Result<FleetPass, String> {
-        let specs = self.specs.clone();
-        let cpu0 = cpu_seconds();
-        let start = Instant::now();
-        let fleet = Fleet::new(self.config.clone());
-        let report = fleet.run(specs).map_err(|e| e.to_string())?;
-        let ran = start.elapsed();
-        let run_cpu = cpu_seconds() - cpu0;
-        let jsonl = export(&report)?;
-        let wall = start.elapsed();
-        let cpu = cpu_seconds() - cpu0;
+        let mut out = Output::default();
+        let (mut copy_wall, mut copy_cpu) = (Vec::new(), Vec::new());
+        let (mut run_wall, mut run_cpu, mut export) = (Duration::ZERO, 0.0, Duration::ZERO);
+        let (mut submit_waits, mut shared) = (0, StatsSnapshot::default());
+        for copy in self.copies() {
+            let specs = copy.to_vec();
+            let (start, cpu0) = (Instant::now(), cpu_seconds());
+            let fleet = Fleet::new(self.config.clone());
+            let report = fleet.run(specs).map_err(|e| e.to_string())?;
+            let (ran, ran_cpu) = (start.elapsed(), cpu_seconds() - cpu0);
+            let jsonl = report.merged_trace_jsonl().map_err(|e| e.to_string())?;
+            let wall = start.elapsed();
+            copy_cpu.push(cpu_seconds() - cpu0);
+            copy_wall.push(wall.as_secs_f64());
+            run_wall += ran;
+            run_cpu += ran_cpu;
+            export += wall - ran;
+            submit_waits += report.timing.submit_waits;
+            let stats = fleet.shared_cache().stats();
+            shared.hits += stats.hits;
+            shared.misses += stats.misses;
+            shared.coalesced += stats.coalesced;
+            shared.evictions += stats.evictions;
+            out.add_exported(&report, jsonl);
+        }
         Ok(FleetPass {
-            digest: pass_digest(&report, &jsonl),
-            wall,
-            export: wall - ran,
-            export_bytes: jsonl.len(),
-            cpu,
+            digest: out.digest(),
+            totals: out.totals,
+            copy_wall,
+            copy_cpu,
+            run_wall,
             run_cpu,
-            submit_waits: report.timing.submit_waits,
-            shared: fleet.shared_cache().stats(),
-            outcome: report.outcome,
+            export,
+            export_bytes: out.trace_bytes,
+            submit_waits,
+            shared,
         })
     }
 
     /// Every spec alone, one after another, through the fleet worker's
     /// unit of work (`execute_spec_shared` on a fresh fleet's shared
-    /// cache), pushing each call's wall time in milliseconds.
+    /// cache per copy), pushing each call's wall time in milliseconds.
     pub fn sequential_pass(&self, samples_ms: &mut Vec<f64>) -> Result<SequentialPass, String> {
-        let fleet = Fleet::new(self.config.clone());
         let cancel = CancelToken::new();
+        let mut out = Output::default();
         let mut total = Duration::ZERO;
-        let runs = self
-            .specs
-            .iter()
-            .map(|spec| {
-                let start = Instant::now();
-                let run = execute_spec_shared(
-                    spec,
-                    &self.config.retry,
-                    &cancel,
-                    Some(fleet.shared_cache()),
-                );
-                let took = start.elapsed();
-                total += took;
-                samples_ms.push(took.as_secs_f64() * 1e3);
-                run
-            })
-            .collect();
-        let report = FleetReport::assemble(self.config.fleet_seed, runs, FleetTiming::default())
-            .map_err(|e| e.to_string())?;
+        for copy in self.copies() {
+            let fleet = Fleet::new(self.config.clone());
+            let runs = copy
+                .iter()
+                .map(|spec| {
+                    let start = Instant::now();
+                    let run = execute_spec_shared(
+                        spec,
+                        &self.config.retry,
+                        &cancel,
+                        Some(fleet.shared_cache()),
+                    );
+                    let took = start.elapsed();
+                    total += took;
+                    samples_ms.push(took.as_secs_f64() * 1e3);
+                    run
+                })
+                .collect();
+            out.add(&assemble(&self.config, runs)?)?;
+        }
         Ok(SequentialPass {
-            digest: pass_digest(&report, &export(&report)?),
+            digest: out.digest(),
             time: total,
         })
     }
 
     /// The traced replica: every spec on one thread through
-    /// [`traced_execute`], then each run's frames replayed through
-    /// perception.
+    /// [`traced_execute`], a fresh shared cache per copy, then each run's
+    /// frames replayed through perception.
     pub fn traced_pass(&self) -> Result<TracedPass, String> {
-        let shared = shared_percept_cache();
         let mut layers = Layers::default();
-        let runs = self
-            .specs
-            .iter()
-            .map(|spec| {
-                let start = Instant::now();
-                let (run, frames) = traced_execute(spec, &self.config.retry, &shared, &mut layers);
-                layers.total += start.elapsed();
-                replay_perception(&frames, &mut layers.perceive);
-                run
-            })
-            .collect();
-        let report = FleetReport::assemble(self.config.fleet_seed, runs, FleetTiming::default())
-            .map_err(|e| e.to_string())?;
+        let mut out = Output::default();
+        for copy in self.copies() {
+            let shared = shared_percept_cache();
+            let runs = copy
+                .iter()
+                .map(|spec| {
+                    let start = Instant::now();
+                    let (run, frames) =
+                        traced_execute(spec, &self.config.retry, &shared, &mut layers);
+                    layers.total += start.elapsed();
+                    replay_perception(&frames, &mut layers.perceive);
+                    run
+                })
+                .collect();
+            out.add(&assemble(&self.config, runs)?)?;
+        }
         Ok(TracedPass {
-            digest: pass_digest(&report, &export(&report)?),
-            outcome: report.outcome,
+            digest: out.digest(),
+            totals: out.totals,
             layers,
         })
     }
+}
+
+/// A copy's report from runs made outside `Fleet::run`.
+fn assemble(
+    config: &FleetConfig,
+    runs: Vec<(RunRecord, Vec<TraceEvent>)>,
+) -> Result<FleetReport, String> {
+    FleetReport::assemble(config.fleet_seed, runs, FleetTiming::default())
+        .map_err(|e| e.to_string())
 }
 
 /// `eclair_fleet::execute_spec_shared`, rebuilt from public functions

@@ -8,22 +8,35 @@ pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// User + system CPU seconds this process has used, all threads included
-/// (`/proc/self/stat` fields 14 and 15, in 1/100 s ticks); 0 where
-/// `/proc` is unavailable.
+/// User + system CPU seconds this process has used, all threads included,
+/// to the nanosecond (`clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`); 0 if the
+/// clock is unavailable.
+#[cfg(target_os = "linux")]
 pub fn cpu_seconds() -> f64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
-    // The command name (field 2) may hold spaces; fields after it don't.
-    let after_comm = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
-    let fields: Vec<&str> = after_comm.split_whitespace().collect();
-    let ticks = |i: usize| {
-        fields
-            .get(i)
-            .and_then(|f| f.parse::<u64>().ok())
-            .unwrap_or(0)
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
     };
-    // After the comm, field 3 (state) is index 0, so utime is 11, stime 12.
-    (ticks(11) + ticks(12)) as f64 / 100.0
+    // SAFETY: `ts` is a valid, writable timespec for the call's duration,
+    // laid out as the 64-bit Linux ABI's `struct timespec`.
+    if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
+        return 0.0;
+    }
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+#[cfg(not(target_os = "linux"))]
+pub fn cpu_seconds() -> f64 {
+    0.0
 }
 
 /// Peak resident set size of this process in MiB (`VmHWM`); 0 where
@@ -112,6 +125,6 @@ mod tests {
         assert!(peak_rss_mb() > 0.0);
         let spin = (0..20_000_000u64).fold(0u64, |a, x| a.wrapping_add(x * x));
         std::hint::black_box(spin);
-        assert!(cpu_seconds() >= 0.0);
+        assert!(cpu_seconds() > 0.0);
     }
 }

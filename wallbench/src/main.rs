@@ -17,17 +17,18 @@ use eclair_trace::perf::{self, PerfCounters};
 use crate::automate::AgentLoad;
 use crate::fleet::FleetLoad;
 use crate::probe::Layers;
-use crate::stats::{median, percentile, ratio};
+use crate::stats::{median, percentile, ratio, Floor};
 
 /// The seed [`Workload::recorded_digest`] was taken at.
 const DEFAULT_SEED: u64 = 1;
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 9;
+/// Seconds of repeated set-up after each timed pass, and before the
+/// traced run; `setup_s` is the median of all set-ups in a run.
+const SETUP_SECONDS: f64 = 0.4;
 /// Copies of the corpus one pass runs. Each copy draws its own model
 /// noise (fleet run seeds derive from the run id; each copy has its own
 /// agent seed), so a pass averages over more noise draws and runs at
 /// different seeds differ less in how much work they do.
-const CORPUS_COPIES: usize = 8;
+const CORPUS_COPIES: usize = 16;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
@@ -56,9 +57,9 @@ impl Workload {
     /// reference pass.
     fn recorded_digest(self) -> &'static str {
         match self {
-            Workload::FleetCorpus => "dd9fba6e4bd5aa1f",
-            Workload::AutomateWdkf => "643e9ea8b18639e9",
-            Workload::ChaosHybrid => "56a93b1b8af930da",
+            Workload::FleetCorpus => "ab44d9a2778346d5",
+            Workload::AutomateWdkf => "14b3c0f39c3a0cc8",
+            Workload::ChaosHybrid => "0056b556c3a91722",
         }
     }
 }
@@ -127,34 +128,18 @@ struct Tally {
 }
 
 impl Tally {
-    /// Count a pass of `workflows`; true when it ran and its digest
-    /// matched `reference`.
-    fn check<P: Digested>(
-        &mut self,
-        workflows: usize,
-        pass: &Result<P, String>,
-        reference: &str,
-    ) -> bool {
+    /// Count a pass of `workflows` given its digest, or the error it
+    /// failed with; true when it ran and its digest matched `reference`.
+    fn check(&mut self, workflows: usize, digest: Result<&str, &String>, reference: &str) -> bool {
         self.attempted += workflows as u64;
-        let problem = match pass {
-            Ok(p) if p.digest() == reference => return true,
-            Ok(p) => format!("digest {} differs from reference {reference}", p.digest()),
+        let problem = match digest {
+            Ok(d) if d == reference => return true,
+            Ok(d) => format!("digest {d} differs from reference {reference}"),
             Err(e) => e.clone(),
         };
         eprintln!("failed pass of {workflows} workflows: {problem}");
         self.failed += workflows as u64;
         false
-    }
-}
-
-/// A pass's output digest.
-trait Digested {
-    fn digest(&self) -> &str;
-}
-
-impl Digested for String {
-    fn digest(&self) -> &str {
-        self
     }
 }
 
@@ -170,22 +155,46 @@ fn guarded<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
     })
 }
 
-/// Expand the corpus and build the workload's inputs from it,
-/// [`SETUP_REPS`] times. Returns the inputs and the median seconds of the
-/// whole set-up and of the expansion alone.
-fn setup<T>(build: impl Fn(&[TaskSpec]) -> T) -> (T, f64, f64) {
-    let (mut whole, mut expand) = (Vec::new(), Vec::new());
-    let mut input = None;
-    for _ in 0..SETUP_REPS {
+/// Timed set-ups: expanding the corpus and building the workload's inputs
+/// from it. The end-to-end runs repeat set-up after every timed pass, so
+/// its median samples the host over the whole run, as the passes do.
+struct SetUp<F> {
+    build: F,
+    whole_s: Vec<f64>,
+    expand_s: Vec<f64>,
+}
+
+impl<T, F: Fn(&[TaskSpec]) -> T> SetUp<F> {
+    fn new(build: F) -> Self {
+        Self {
+            build,
+            whole_s: Vec::new(),
+            expand_s: Vec::new(),
+        }
+    }
+
+    /// One timed set-up.
+    fn once(&mut self) -> T {
         let start = Instant::now();
         let corpus = eclair_corpus::generate(eclair_corpus::CORPUS_SEED)
             .unwrap_or_else(|e| panic!("the default corpus must expand: {e}"));
-        expand.push(start.elapsed().as_secs_f64());
-        input = Some(build(&corpus.tasks));
-        whole.push(start.elapsed().as_secs_f64());
+        self.expand_s.push(start.elapsed().as_secs_f64());
+        let input = (self.build)(&corpus.tasks);
+        self.whole_s.push(start.elapsed().as_secs_f64());
+        input
     }
-    let input = input.expect("at least one set-up");
-    (input, median(&whole), median(&expand))
+
+    /// Timed set-ups for [`SETUP_SECONDS`], at least one; their inputs
+    /// are dropped.
+    fn repeat(&mut self) {
+        let deadline = Instant::now() + Duration::from_secs_f64(SETUP_SECONDS);
+        loop {
+            drop(self.once());
+            if Instant::now() >= deadline {
+                break;
+            }
+        }
+    }
 }
 
 /// The digest passes are checked against: the recorded one at the
@@ -211,6 +220,20 @@ fn reference(args: &Args, compute: impl FnOnce() -> Result<String, String>) -> S
     digest
 }
 
+/// Run `round` at least once, and again while another round as long as
+/// the last one still ends within `seconds` of the start.
+fn for_seconds(seconds: f64, mut round: impl FnMut()) {
+    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+    loop {
+        let start = Instant::now();
+        round();
+        let now = Instant::now();
+        if now + (now - start) > deadline {
+            break;
+        }
+    }
+}
+
 /// Report an untimed warm-up pass's digest (at the default seed, the
 /// value to record in [`Workload::recorded_digest`]) and pass it on.
 fn warm_up(digest: Result<String, String>) -> Result<String, String> {
@@ -221,47 +244,70 @@ fn warm_up(digest: Result<String, String>) -> Result<String, String> {
     digest
 }
 
-/// Per-pass figures of a run's timed passes. Each end-to-end timing is
-/// the median over passes, so a pass slowed by a burst of load elsewhere
-/// on the host does not move it.
+/// What a run's timed passes add up to. Every pass does the same work,
+/// so each timing is taken at its floor: every slot (a corpus copy of a
+/// `Fleet::run` or agent pass, a single workflow of a latency pass) keeps
+/// its lowest time over the run. Load from elsewhere on a shared
+/// host only ever adds time, and it comes and goes in spells of seconds
+/// to minutes; the floor is the figure it moves least.
 #[derive(Default)]
 struct Passes {
-    runs_per_s: Vec<f64>,
-    cpu_ms_per_run: Vec<f64>,
-    p50_ms: Vec<f64>,
-    p99_ms: Vec<f64>,
+    workflows: f64,
+    wall_s: Floor,
+    cpu_s: Floor,
+    latency_ms: Floor,
 }
 
 impl Passes {
-    fn throughput(&mut self, workflows: usize, wall: Duration, cpu_s: f64) {
-        let n = workflows as f64;
-        self.runs_per_s.push(ratio(n, wall.as_secs_f64()));
-        self.cpu_ms_per_run.push(ratio(cpu_s * 1e3, n));
-        eprintln!(
-            "pass: {:.1} runs/s, {:.4} cpu ms/run",
-            ratio(n, wall.as_secs_f64()),
-            ratio(cpu_s * 1e3, n)
-        );
+    fn new(workflows: usize) -> Self {
+        Self {
+            workflows: workflows as f64,
+            ..Self::default()
+        }
     }
 
+    /// One pass's wall and CPU seconds, slot by slot.
+    fn throughput(&mut self, wall_s: &[f64], cpu_s: &[f64]) {
+        let (wall, cpu) = (wall_s.iter().sum::<f64>(), cpu_s.iter().sum::<f64>());
+        eprintln!(
+            "pass: {:.1} runs/s, {:.4} cpu ms/run",
+            ratio(self.workflows, wall),
+            ratio(cpu * 1e3, self.workflows)
+        );
+        self.wall_s.add(wall_s);
+        self.cpu_s.add(cpu_s);
+    }
+
+    /// One pass's per-workflow wall times.
     fn latency(&mut self, samples_ms: &[f64]) {
-        self.p50_ms.push(median(samples_ms));
-        self.p99_ms.push(percentile(samples_ms, 99.0));
         eprintln!(
             "pass: workflow p50 {:.4} ms, p99 {:.4} ms",
             median(samples_ms),
             percentile(samples_ms, 99.0)
         );
+        self.latency_ms.add(samples_ms);
     }
 
     fn metrics(&self, setup_s: f64, completion_rate: f64, tokens_per_run: f64) -> Vec<Metric> {
         let m = |name, value, unit| Metric { name, value, unit };
         vec![
             m("setup_s", setup_s, "s"),
-            m("runs_per_s", median(&self.runs_per_s), "1/s"),
-            m("workflow_ms_p50", median(&self.p50_ms), "ms"),
-            m("workflow_ms_p99", median(&self.p99_ms), "ms"),
-            m("cpu_ms_per_run", median(&self.cpu_ms_per_run), "ms"),
+            m(
+                "runs_per_s",
+                ratio(self.workflows, self.wall_s.sum()),
+                "1/s",
+            ),
+            m("workflow_ms_p50", median(&self.latency_ms.0), "ms"),
+            m(
+                "workflow_ms_p99",
+                percentile(&self.latency_ms.0, 99.0),
+                "ms",
+            ),
+            m(
+                "cpu_ms_per_run",
+                ratio(self.cpu_s.sum() * 1e3, self.workflows),
+                "ms",
+            ),
             m("peak_rss_mb", host::peak_rss_mb(), "MB"),
             m("completion_rate", completion_rate, "ratio"),
             m("fm_tokens_per_run", tokens_per_run, "count"),
@@ -273,60 +319,66 @@ impl Passes {
 /// (throughput, CPU) and one sequential pass (per-workflow latency) until
 /// the time is up.
 fn fleet_end_to_end(args: &Args, chaos: bool, workers: usize) -> (Tally, Vec<Metric>) {
-    let (load, setup_s, _) = setup(|c| FleetLoad::new(c, args.seed, chaos, workers));
+    let mut set_up = SetUp::new(|c: &[TaskSpec]| FleetLoad::new(c, args.seed, chaos, workers));
+    let load = set_up.once();
     let n = load.specs.len();
     let reference = reference(args, || load.reference());
     let _ = warm_up(guarded(|| load.fleet_pass().map(|p| p.digest)));
     let mut tally = Tally::default();
-    let mut passes = Passes::default();
+    let mut passes = Passes::new(n);
     let (mut completion, mut tokens) = (0.0, 0.0);
-    let deadline = Instant::now() + Duration::from_secs_f64(args.seconds);
-    loop {
+    for_seconds(args.seconds, || {
         let pass = guarded(|| load.fleet_pass());
-        if tally.check(n, &pass, &reference) {
+        if tally.check(n, pass.as_ref().map(|p| p.digest.as_str()), &reference) {
             let p = pass.as_ref().expect("a matching pass ran");
-            passes.throughput(n, p.wall, p.cpu);
-            completion = p.outcome.completion_rate();
-            tokens = ratio(p.outcome.tokens.total_tokens() as f64, n as f64);
+            passes.throughput(&p.copy_wall, &p.copy_cpu);
+            completion = ratio(p.totals.succeeded as f64, n as f64);
+            tokens = ratio(p.totals.tokens as f64, n as f64);
         }
         let mut latency = Vec::with_capacity(n);
         let seq = guarded(|| load.sequential_pass(&mut latency));
-        if tally.check(n, &seq, &reference) {
+        if tally.check(n, seq.as_ref().map(|p| p.digest.as_str()), &reference) {
             passes.latency(&latency);
         }
-        if Instant::now() >= deadline {
-            break;
-        }
-    }
-    (tally, passes.metrics(setup_s, completion, tokens))
+        set_up.repeat();
+    });
+    (
+        tally,
+        passes.metrics(median(&set_up.whole_s), completion, tokens),
+    )
 }
 
-/// `automate-wdkf` with tracing off: passes of `workers` closed-loop
-/// callers until the time is up.
-fn automate_end_to_end(args: &Args, workers: usize) -> (Tally, Vec<Metric>) {
-    let (load, setup_s, _) = setup(|c| AgentLoad::new(c, args.seed));
+/// `automate-wdkf` with tracing off: passes of one closed-loop caller
+/// until the time is up.
+fn automate_end_to_end(args: &Args) -> (Tally, Vec<Metric>) {
+    let mut set_up = SetUp::new(|c: &[TaskSpec]| AgentLoad::new(c, args.seed));
+    let load = set_up.once();
     let n = load.workflows();
-    let warm = warm_up(guarded(|| Ok(load.pass(workers, &mut Vec::new()).digest)));
-    let reference = reference(args, || warm);
+    let reference = reference(args, || Ok(load.pass(&mut Vec::new()).digest));
+    // Away from the default seed, the reference pass has already warmed
+    // up the timed code path.
+    if args.seed == DEFAULT_SEED {
+        let _ = warm_up(guarded(|| Ok(load.pass(&mut Vec::new()).digest)));
+    }
     let mut tally = Tally::default();
-    let mut passes = Passes::default();
+    let mut passes = Passes::new(n);
     let (mut completion, mut tokens) = (0.0, 0.0);
-    let deadline = Instant::now() + Duration::from_secs_f64(args.seconds);
-    loop {
+    for_seconds(args.seconds, || {
         let mut latency = Vec::with_capacity(n);
-        let pass = guarded(|| Ok(load.pass(workers, &mut latency)));
-        if tally.check(n, &pass, &reference) {
+        let pass = guarded(|| Ok(load.pass(&mut latency)));
+        if tally.check(n, pass.as_ref().map(|p| p.digest.as_str()), &reference) {
             let p = pass.as_ref().expect("a matching pass ran");
-            passes.throughput(n, p.wall, p.cpu);
+            passes.throughput(&p.copy_wall, &p.copy_cpu);
             passes.latency(&latency);
             completion = ratio(p.completed as f64, n as f64);
             tokens = ratio(p.tokens as f64, n as f64);
         }
-        if Instant::now() >= deadline {
-            break;
-        }
-    }
-    (tally, passes.metrics(setup_s, completion, tokens))
+        set_up.repeat();
+    });
+    (
+        tally,
+        passes.metrics(median(&set_up.whole_s), completion, tokens),
+    )
 }
 
 /// One traced round: an untraced pass, then the traced replica of the
@@ -470,13 +522,9 @@ fn traced(
 ) -> (Tally, Vec<Metric>) {
     let mut tally = Tally::default();
     let mut rounds = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs_f64(args.seconds);
-    loop {
+    for_seconds(args.seconds, || {
         rounds.push(round(&mut tally));
-        if Instant::now() >= deadline {
-            break;
-        }
-    }
+    });
     let mut metrics: Vec<Metric> = PER_ROUND
         .iter()
         .map(|&(name, unit, f)| Metric {
@@ -501,7 +549,10 @@ fn traced(
 }
 
 fn fleet_traced(args: &Args, chaos: bool, workers: usize) -> (Tally, Vec<Metric>) {
-    let (load, _, expand_s) = setup(|c| FleetLoad::new(c, args.seed, chaos, workers));
+    let mut set_up = SetUp::new(|c: &[TaskSpec]| FleetLoad::new(c, args.seed, chaos, workers));
+    let load = set_up.once();
+    set_up.repeat();
+    let expand_s = median(&set_up.expand_s);
     let n = load.specs.len();
     let reference = reference(args, || load.reference());
     let _ = warm_up(guarded(|| load.fleet_pass().map(|p| p.digest)));
@@ -512,11 +563,11 @@ fn fleet_traced(args: &Args, chaos: bool, workers: usize) -> (Tally, Vec<Metric>
             ..Round::default()
         };
         let pass = guarded(|| load.fleet_pass());
-        if tally.check(n, &pass, &reference) {
+        if tally.check(n, pass.as_ref().map(|p| p.digest.as_str()), &reference) {
             let p = pass.expect("a matching pass ran");
             r.export = p.export;
             r.export_bytes = p.export_bytes as f64;
-            r.fleet_run_wall = (p.wall - p.export).as_secs_f64();
+            r.fleet_run_wall = p.run_wall.as_secs_f64();
             r.fleet_run_cpu = p.run_cpu;
             r.submit_waits = p.submit_waits as f64;
             r.shared_hit_rate = p.shared.hit_rate();
@@ -524,7 +575,7 @@ fn fleet_traced(args: &Args, chaos: bool, workers: usize) -> (Tally, Vec<Metric>
         }
         let mut run_ms = Vec::with_capacity(n);
         let seq = guarded(|| load.sequential_pass(&mut run_ms));
-        if tally.check(n, &seq, &reference) {
+        if tally.check(n, seq.as_ref().map(|p| p.digest.as_str()), &reference) {
             r.plain = seq.expect("a matching pass ran").time;
             r.run_us_p50 = median(&run_ms) * 1e3;
             r.run_us_p99 = percentile(&run_ms, 99.0) * 1e3;
@@ -532,31 +583,34 @@ fn fleet_traced(args: &Args, chaos: bool, workers: usize) -> (Tally, Vec<Metric>
         perf::reset();
         let traced = guarded(|| load.traced_pass());
         r.perf = perf::snapshot();
-        if tally.check(n, &traced, &reference) {
+        if tally.check(n, traced.as_ref().map(|p| p.digest.as_str()), &reference) {
             let t = traced.expect("a matching pass ran");
             r.layers = t.layers;
-            r.tokens = t.outcome.tokens.total_tokens() as f64;
-            r.fm_calls = t.outcome.tokens.calls as f64;
-            r.attempts = t.outcome.records.iter().map(|x| x.attempts as f64).sum();
-            r.faults = t.outcome.faults_injected_total() as f64;
+            r.tokens = t.totals.tokens as f64;
+            r.fm_calls = t.totals.fm_calls as f64;
+            r.attempts = t.totals.attempts as f64;
+            r.faults = t.totals.faults as f64;
         }
         r
     })
 }
 
-fn automate_traced(args: &Args, workers: usize) -> (Tally, Vec<Metric>) {
-    let (load, _, expand_s) = setup(|c| AgentLoad::new(c, args.seed));
+fn automate_traced(args: &Args) -> (Tally, Vec<Metric>) {
+    let mut set_up = SetUp::new(|c: &[TaskSpec]| AgentLoad::new(c, args.seed));
+    let load = set_up.once();
+    set_up.repeat();
+    let expand_s = median(&set_up.expand_s);
     let n = load.workflows();
-    let warm = warm_up(guarded(|| Ok(load.pass(1, &mut Vec::new()).digest)));
+    let warm = warm_up(guarded(|| Ok(load.pass(&mut Vec::new()).digest)));
     let reference = reference(args, || warm);
     traced(args, expand_s, |tally| {
         let mut r = Round {
-            workers: workers as f64,
+            workers: 1.0,
             workflows: n as f64,
             ..Round::default()
         };
-        let pass = guarded(|| Ok(load.pass(1, &mut Vec::new())));
-        if tally.check(n, &pass, &reference) {
+        let pass = guarded(|| Ok(load.pass(&mut Vec::new())));
+        if tally.check(n, pass.as_ref().map(|p| p.digest.as_str()), &reference) {
             let p = pass.expect("a matching pass ran");
             r.plain = p.wall - p.export;
             r.export = p.export;
@@ -565,7 +619,7 @@ fn automate_traced(args: &Args, workers: usize) -> (Tally, Vec<Metric>) {
         perf::reset();
         let traced = guarded(|| Ok(load.traced_pass()));
         r.perf = perf::snapshot();
-        if tally.check(n, &traced, &reference) {
+        if tally.check(n, traced.as_ref().map(|p| p.digest.as_str()), &reference) {
             let t = traced.expect("a matching pass ran");
             r.layers = t.layers;
             r.tokens = t.tokens as f64;
@@ -573,36 +627,6 @@ fn automate_traced(args: &Args, workers: usize) -> (Tally, Vec<Metric>) {
         }
         r
     })
-}
-
-impl Digested for fleet::FleetPass {
-    fn digest(&self) -> &str {
-        &self.digest
-    }
-}
-
-impl Digested for fleet::SequentialPass {
-    fn digest(&self) -> &str {
-        &self.digest
-    }
-}
-
-impl Digested for fleet::TracedPass {
-    fn digest(&self) -> &str {
-        &self.digest
-    }
-}
-
-impl Digested for automate::AgentPass {
-    fn digest(&self) -> &str {
-        &self.digest
-    }
-}
-
-impl Digested for automate::TracedPass {
-    fn digest(&self) -> &str {
-        &self.digest
-    }
 }
 
 fn result_json(tally: &Tally, metrics: &[Metric]) -> String {
@@ -634,7 +658,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let workers = host::nproc();
+    // The fleet workloads run `nproc` workers; `automate-wdkf` has one
+    // caller.
+    let workers = match args.workload {
+        Workload::AutomateWdkf => 1,
+        Workload::FleetCorpus | Workload::ChaosHybrid => host::nproc(),
+    };
     println!(
         "{}",
         host::facts_json(args.workload.name(), args.seed, workers)
@@ -642,10 +671,10 @@ fn main() {
     let (tally, metrics) = match (args.workload, args.trace) {
         (Workload::FleetCorpus, false) => fleet_end_to_end(&args, false, workers),
         (Workload::ChaosHybrid, false) => fleet_end_to_end(&args, true, workers),
-        (Workload::AutomateWdkf, false) => automate_end_to_end(&args, workers),
+        (Workload::AutomateWdkf, false) => automate_end_to_end(&args),
         (Workload::FleetCorpus, true) => fleet_traced(&args, false, workers),
         (Workload::ChaosHybrid, true) => fleet_traced(&args, true, workers),
-        (Workload::AutomateWdkf, true) => automate_traced(&args, workers),
+        (Workload::AutomateWdkf, true) => automate_traced(&args),
     };
     println!("{}", result_json(&tally, &metrics));
 }
@@ -657,15 +686,19 @@ mod tests {
     #[test]
     fn a_digest_mismatch_fails_every_workflow_of_the_pass() {
         let load = FleetLoad::new(&eclair_corpus::corpus_tasks()[..1], 3, false, 1);
-        assert_eq!(load.specs.len(), 8);
+        assert_eq!(load.specs.len(), CORPUS_COPIES);
         let reference = load.reference().unwrap();
         let pass = guarded(|| load.fleet_pass());
         let mut tally = Tally::default();
-        assert!(tally.check(3, &pass, &reference));
-        assert!(!tally.check(3, &pass, "0000000000000000"));
+        assert!(tally.check(3, pass.as_ref().map(|p| p.digest.as_str()), &reference));
+        assert!(!tally.check(
+            3,
+            pass.as_ref().map(|p| p.digest.as_str()),
+            "0000000000000000"
+        ));
         let panicked: Result<String, String> = guarded(|| panic!("boom"));
         assert_eq!(panicked, Err("panicked: boom".to_string()));
-        assert!(!tally.check(3, &panicked, &reference));
+        assert!(!tally.check(3, panicked.as_deref(), &reference));
         assert_eq!((tally.attempted, tally.failed), (9, 6));
         assert!(result_json(&tally, &[])
             .starts_with("{\"correct\": false, \"attempted\": 9, \"failed\": 6"));

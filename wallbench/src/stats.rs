@@ -1,4 +1,4 @@
-//! Order statistics and output digests.
+//! Order statistics, per-slot floors and output digests.
 
 /// Median of `values` (mean of the two middle values for an even count);
 /// 0 for an empty slice.
@@ -24,6 +24,29 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     let v = sorted(values);
     let rank = ((p / 100.0) * v.len() as f64).ceil() as usize;
     v[rank.clamp(1, v.len()) - 1]
+}
+
+/// The lowest time each slot took over repeated identical passes. A slot
+/// is a fixed piece of every pass (the whole pass, one corpus copy or one
+/// workflow); `add` takes one pass's times, slot by slot.
+#[derive(Debug, Default)]
+pub struct Floor(pub Vec<f64>);
+
+impl Floor {
+    pub fn add(&mut self, times: &[f64]) {
+        if self.0.is_empty() {
+            self.0 = times.to_vec();
+        } else {
+            assert_eq!(self.0.len(), times.len(), "every pass has the same slots");
+            for (low, &t) in self.0.iter_mut().zip(times) {
+                *low = low.min(t);
+            }
+        }
+    }
+
+    pub fn sum(&self) -> f64 {
+        self.0.iter().sum()
+    }
 }
 
 fn sorted(values: &[f64]) -> Vec<f64> {
@@ -80,6 +103,17 @@ mod tests {
         assert_eq!(percentile(&ten, 95.0), 100.0);
         assert_eq!(percentile(&[], 99.0), 0.0);
         assert_eq!(percentile(&[3.5], 99.0), 3.5);
+    }
+
+    #[test]
+    fn floor_keeps_each_slots_lowest_time() {
+        let mut floor = Floor::default();
+        assert_eq!(floor.sum(), 0.0);
+        floor.add(&[3.0, 1.0, 4.0]);
+        floor.add(&[2.0, 5.0, 4.5]);
+        floor.add(&[2.5, 0.5, 6.0]);
+        assert_eq!(floor.0, [2.0, 0.5, 4.0]);
+        assert_eq!(floor.sum(), 6.5);
     }
 
     #[test]
