@@ -17,8 +17,8 @@ use eclair_sites::TaskSpec;
 use eclair_trace::RunSummary;
 use eclair_vision::keyframes::{extract_key_frames, KeyFrameConfig};
 
-use crate::host::cpu_seconds;
 use crate::probe::{replay_perception, Layers, Timed};
+use crate::speed::{Speed, Timing, BLOCK_WORKFLOWS};
 use crate::stats::digest;
 use crate::CORPUS_COPIES;
 
@@ -37,12 +37,12 @@ pub struct AgentLoad {
 /// One pass, timed.
 pub struct AgentPass {
     pub digest: String,
-    /// Every `automate` call plus the trace exports.
+    /// Every `automate` call plus the trace exports, as measured.
     pub wall: Duration,
     pub export: Duration,
     pub export_bytes: usize,
-    /// Wall and process CPU seconds of each corpus copy: its agent's
-    /// `automate` calls and trace export.
+    /// Wall and process CPU seconds of each corpus copy, scaled to the
+    /// reference speed: its agent's `automate` calls and trace export.
     pub copy_wall: Vec<f64>,
     pub copy_cpu: Vec<f64>,
     pub completed: usize,
@@ -90,35 +90,42 @@ impl AgentLoad {
 
     /// One closed-loop caller: per corpus copy, a fresh agent automates
     /// every task in order, each call made when the previous one has
-    /// returned, and then exports its trace. Pushes each `automate`
-    /// call's wall time in milliseconds.
+    /// returned, and then exports its trace. The calls run in blocks of
+    /// [`BLOCK_WORKFLOWS`] with a host speed sample between blocks. Pushes
+    /// each `automate` call's wall time in milliseconds, scaled to the
+    /// reference speed.
     pub fn pass(&self, samples_ms: &mut Vec<f64>) -> AgentPass {
         let mut reports = Vec::with_capacity(self.workflows());
         let mut traces = Vec::with_capacity(self.configs.len());
         let mut copy_wall = Vec::with_capacity(self.configs.len());
         let mut copy_cpu = Vec::with_capacity(self.configs.len());
-        let (mut export, mut tokens) = (Duration::ZERO, 0);
-        let start = Instant::now();
+        let (mut wall, mut export, mut tokens) = (0.0, 0.0, 0);
+        let mut speed = Speed::new();
         for config in &self.configs {
-            let (copy_start, cpu0) = (Instant::now(), cpu_seconds());
+            let mut copy = Timing::default();
             let mut agent = Eclair::new(config.clone());
-            for task in &self.tasks {
-                let call = Instant::now();
-                reports.push(agent.automate(task));
-                samples_ms.push(call.elapsed().as_secs_f64() * 1e3);
+            for block in self.tasks.chunks(BLOCK_WORKFLOWS) {
+                speed.block_with_samples(&mut copy, samples_ms, |samples| {
+                    for task in block {
+                        let call = Instant::now();
+                        reports.push(agent.automate(task));
+                        samples.push(call.elapsed().as_secs_f64() * 1e3);
+                    }
+                });
             }
-            let export_start = Instant::now();
-            traces.push(agent.model().trace().to_jsonl());
-            export += export_start.elapsed();
-            copy_cpu.push(cpu_seconds() - cpu0);
-            copy_wall.push(copy_start.elapsed().as_secs_f64());
+            let calls = copy.wall;
+            let (trace, _) = speed.block(&mut copy, || agent.model().trace().to_jsonl());
+            traces.push(trace);
+            export += copy.wall - calls;
+            wall += copy.wall;
+            copy_wall.push(copy.scaled_wall);
+            copy_cpu.push(copy.scaled_cpu);
             tokens += agent.model().meter().total_tokens();
         }
-        let wall = start.elapsed();
         AgentPass {
             digest: pass_digest(&reports, &traces),
-            wall,
-            export,
+            wall: Duration::from_secs_f64(wall),
+            export: Duration::from_secs_f64(export),
             export_bytes: traces.iter().map(String::len).sum(),
             copy_wall,
             copy_cpu,

@@ -22,6 +22,7 @@ use rand::SeedableRng;
 
 use crate::host::cpu_seconds;
 use crate::probe::{replay_perception, Layers, Timed};
+use crate::speed::{Speed, Timing, BLOCK_WORKFLOWS};
 use crate::stats::digest;
 use crate::CORPUS_COPIES;
 
@@ -97,8 +98,8 @@ impl Output {
 pub struct FleetPass {
     pub digest: String,
     pub totals: Totals,
-    /// Wall and process CPU seconds of each copy: its `Fleet::run` and
-    /// export.
+    /// Wall and process CPU seconds of each copy, scaled to the reference
+    /// speed: its `Fleet::run` and export.
     pub copy_wall: Vec<f64>,
     pub copy_cpu: Vec<f64>,
     /// `Fleet::run` alone, summed over copies: wall and process CPU.
@@ -111,7 +112,7 @@ pub struct FleetPass {
     pub shared: StatsSnapshot,
 }
 
-/// One sequential pass: its digest and the summed call time.
+/// One sequential pass: its digest and its time as measured.
 pub struct SequentialPass {
     pub digest: String,
     pub time: Duration,
@@ -173,25 +174,31 @@ impl FleetLoad {
     }
 
     /// The production path: per corpus copy, a fresh `Fleet` runs every
-    /// spec on its workers and the merged trace is exported.
+    /// spec on its workers and the merged trace is exported. Each copy is
+    /// one timed block, with a host speed sample between copies.
     pub fn fleet_pass(&self) -> Result<FleetPass, String> {
         let mut out = Output::default();
         let (mut copy_wall, mut copy_cpu) = (Vec::new(), Vec::new());
         let (mut run_wall, mut run_cpu, mut export) = (Duration::ZERO, 0.0, Duration::ZERO);
         let (mut submit_waits, mut shared) = (0, StatsSnapshot::default());
+        let mut speed = Speed::new();
         for copy in self.copies() {
             let specs = copy.to_vec();
-            let (start, cpu0) = (Instant::now(), cpu_seconds());
-            let fleet = Fleet::new(self.config.clone());
-            let report = fleet.run(specs).map_err(|e| e.to_string())?;
-            let (ran, ran_cpu) = (start.elapsed(), cpu_seconds() - cpu0);
-            let jsonl = report.merged_trace_jsonl().map_err(|e| e.to_string())?;
-            let wall = start.elapsed();
-            copy_cpu.push(cpu_seconds() - cpu0);
-            copy_wall.push(wall.as_secs_f64());
+            let mut timing = Timing::default();
+            let (done, _) = speed.block(&mut timing, || {
+                let (start, cpu0) = (Instant::now(), cpu_seconds());
+                let fleet = Fleet::new(self.config.clone());
+                let report = fleet.run(specs).map_err(|e| e.to_string())?;
+                let (ran, ran_cpu) = (start.elapsed(), cpu_seconds() - cpu0);
+                let jsonl = report.merged_trace_jsonl().map_err(|e| e.to_string())?;
+                Ok::<_, String>((fleet, report, jsonl, ran, ran_cpu))
+            });
+            let (fleet, report, jsonl, ran, ran_cpu) = done?;
+            copy_cpu.push(timing.scaled_cpu);
+            copy_wall.push(timing.scaled_wall);
             run_wall += ran;
             run_cpu += ran_cpu;
-            export += wall - ran;
+            export += Duration::from_secs_f64(timing.wall).saturating_sub(ran);
             submit_waits += report.timing.submit_waits;
             let stats = fleet.shared_cache().stats();
             shared.hits += stats.hits;
@@ -216,34 +223,36 @@ impl FleetLoad {
 
     /// Every spec alone, one after another, through the fleet worker's
     /// unit of work (`execute_spec_shared` on a fresh fleet's shared
-    /// cache per copy), pushing each call's wall time in milliseconds.
+    /// cache per copy), in blocks of [`BLOCK_WORKFLOWS`] with a host speed
+    /// sample between blocks. Pushes each call's wall time in
+    /// milliseconds, scaled to the reference speed.
     pub fn sequential_pass(&self, samples_ms: &mut Vec<f64>) -> Result<SequentialPass, String> {
         let cancel = CancelToken::new();
         let mut out = Output::default();
-        let mut total = Duration::ZERO;
+        let mut timing = Timing::default();
+        let mut speed = Speed::new();
         for copy in self.copies() {
             let fleet = Fleet::new(self.config.clone());
-            let runs = copy
-                .iter()
-                .map(|spec| {
-                    let start = Instant::now();
-                    let run = execute_spec_shared(
-                        spec,
-                        &self.config.retry,
-                        &cancel,
-                        Some(fleet.shared_cache()),
-                    );
-                    let took = start.elapsed();
-                    total += took;
-                    samples_ms.push(took.as_secs_f64() * 1e3);
-                    run
-                })
-                .collect();
+            let mut runs = Vec::with_capacity(copy.len());
+            for block in copy.chunks(BLOCK_WORKFLOWS) {
+                speed.block_with_samples(&mut timing, samples_ms, |samples| {
+                    for spec in block {
+                        let start = Instant::now();
+                        runs.push(execute_spec_shared(
+                            spec,
+                            &self.config.retry,
+                            &cancel,
+                            Some(fleet.shared_cache()),
+                        ));
+                        samples.push(start.elapsed().as_secs_f64() * 1e3);
+                    }
+                });
+            }
             out.add(&assemble(&self.config, runs)?)?;
         }
         Ok(SequentialPass {
             digest: out.digest(),
-            time: total,
+            time: Duration::from_secs_f64(timing.wall),
         })
     }
 

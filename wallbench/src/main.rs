@@ -6,6 +6,7 @@ mod automate;
 mod fleet;
 mod host;
 mod probe;
+mod speed;
 mod stats;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -17,7 +18,8 @@ use eclair_trace::perf::{self, PerfCounters};
 use crate::automate::AgentLoad;
 use crate::fleet::FleetLoad;
 use crate::probe::Layers;
-use crate::stats::{median, percentile, ratio, Floor};
+use crate::speed::{Speed, Timing};
+use crate::stats::{median, percentile, ratio, Slots};
 
 /// The seed [`Workload::recorded_digest`] was taken at.
 const DEFAULT_SEED: u64 = 1;
@@ -156,8 +158,9 @@ fn guarded<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
 }
 
 /// Timed set-ups: expanding the corpus and building the workload's inputs
-/// from it. The end-to-end runs repeat set-up after every timed pass, so
-/// its median samples the host over the whole run, as the passes do.
+/// from it, each one block scaled to the reference speed. The end-to-end
+/// runs repeat set-up after every timed pass, so its median samples the
+/// host over the whole run, as the passes do.
 struct SetUp<F> {
     build: F,
     whole_s: Vec<f64>,
@@ -175,12 +178,17 @@ impl<T, F: Fn(&[TaskSpec]) -> T> SetUp<F> {
 
     /// One timed set-up.
     fn once(&mut self) -> T {
-        let start = Instant::now();
-        let corpus = eclair_corpus::generate(eclair_corpus::CORPUS_SEED)
-            .unwrap_or_else(|e| panic!("the default corpus must expand: {e}"));
-        self.expand_s.push(start.elapsed().as_secs_f64());
-        let input = (self.build)(&corpus.tasks);
-        self.whole_s.push(start.elapsed().as_secs_f64());
+        let mut timing = Timing::default();
+        let mut expand_s = 0.0;
+        let (input, scale) = Speed::new().block(&mut timing, || {
+            let start = Instant::now();
+            let corpus = eclair_corpus::generate(eclair_corpus::CORPUS_SEED)
+                .unwrap_or_else(|e| panic!("the default corpus must expand: {e}"));
+            expand_s = start.elapsed().as_secs_f64();
+            (self.build)(&corpus.tasks)
+        });
+        self.expand_s.push(expand_s * scale);
+        self.whole_s.push(timing.scaled_wall);
         input
     }
 
@@ -245,17 +253,17 @@ fn warm_up(digest: Result<String, String>) -> Result<String, String> {
 }
 
 /// What a run's timed passes add up to. Every pass does the same work,
-/// so each timing is taken at its floor: every slot (a corpus copy of a
-/// `Fleet::run` or agent pass, a single workflow of a latency pass) keeps
-/// its lowest time over the run. Load from elsewhere on a shared
-/// host only ever adds time, and it comes and goes in spells of seconds
-/// to minutes; the floor is the figure it moves least.
+/// and its times come scaled to the reference speed (`speed.rs`). Each
+/// slot (a corpus copy of a `Fleet::run` or agent pass, a single workflow
+/// of a latency pass) takes its median time over the run's passes, which
+/// drops the odd slot a pause or a passing spell of load hit; the
+/// metrics are computed from those medians.
 #[derive(Default)]
 struct Passes {
     workflows: f64,
-    wall_s: Floor,
-    cpu_s: Floor,
-    latency_ms: Floor,
+    wall_s: Slots,
+    cpu_s: Slots,
+    latency_ms: Slots,
 }
 
 impl Passes {
@@ -266,7 +274,7 @@ impl Passes {
         }
     }
 
-    /// One pass's wall and CPU seconds, slot by slot.
+    /// One pass's scaled wall and CPU seconds, slot by slot.
     fn throughput(&mut self, wall_s: &[f64], cpu_s: &[f64]) {
         let (wall, cpu) = (wall_s.iter().sum::<f64>(), cpu_s.iter().sum::<f64>());
         eprintln!(
@@ -278,7 +286,7 @@ impl Passes {
         self.cpu_s.add(cpu_s);
     }
 
-    /// One pass's per-workflow wall times.
+    /// One pass's scaled per-workflow wall times.
     fn latency(&mut self, samples_ms: &[f64]) {
         eprintln!(
             "pass: workflow p50 {:.4} ms, p99 {:.4} ms",
@@ -290,22 +298,20 @@ impl Passes {
 
     fn metrics(&self, setup_s: f64, completion_rate: f64, tokens_per_run: f64) -> Vec<Metric> {
         let m = |name, value, unit| Metric { name, value, unit };
+        let latency_ms = self.latency_ms.medians();
+        let sum = |slots: &Slots| slots.medians().iter().sum::<f64>();
         vec![
             m("setup_s", setup_s, "s"),
             m(
                 "runs_per_s",
-                ratio(self.workflows, self.wall_s.sum()),
+                ratio(self.workflows, sum(&self.wall_s)),
                 "1/s",
             ),
-            m("workflow_ms_p50", median(&self.latency_ms.0), "ms"),
-            m(
-                "workflow_ms_p99",
-                percentile(&self.latency_ms.0, 99.0),
-                "ms",
-            ),
+            m("workflow_ms_p50", median(&latency_ms), "ms"),
+            m("workflow_ms_p99", percentile(&latency_ms, 99.0), "ms"),
             m(
                 "cpu_ms_per_run",
-                ratio(self.cpu_s.sum() * 1e3, self.workflows),
+                ratio(sum(&self.cpu_s) * 1e3, self.workflows),
                 "ms",
             ),
             m("peak_rss_mb", host::peak_rss_mb(), "MB"),

@@ -1,4 +1,4 @@
-//! Order statistics, per-slot floors and output digests.
+//! Order statistics, per-slot medians and output digests.
 
 /// Median of `values` (mean of the two middle values for an even count);
 /// 0 for an empty slice.
@@ -26,26 +26,26 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     v[rank.clamp(1, v.len()) - 1]
 }
 
-/// The lowest time each slot took over repeated identical passes. A slot
-/// is a fixed piece of every pass (the whole pass, one corpus copy or one
-/// workflow); `add` takes one pass's times, slot by slot.
+/// Each slot's times over repeated identical passes. A slot is a fixed
+/// piece of every pass (one corpus copy or one workflow); `add` takes one
+/// pass's times, slot by slot.
 #[derive(Debug, Default)]
-pub struct Floor(pub Vec<f64>);
+pub struct Slots(Vec<Vec<f64>>);
 
-impl Floor {
+impl Slots {
     pub fn add(&mut self, times: &[f64]) {
         if self.0.is_empty() {
-            self.0 = times.to_vec();
-        } else {
-            assert_eq!(self.0.len(), times.len(), "every pass has the same slots");
-            for (low, &t) in self.0.iter_mut().zip(times) {
-                *low = low.min(t);
-            }
+            self.0 = vec![Vec::new(); times.len()];
+        }
+        assert_eq!(self.0.len(), times.len(), "every pass has the same slots");
+        for (slot, &t) in self.0.iter_mut().zip(times) {
+            slot.push(t);
         }
     }
 
-    pub fn sum(&self) -> f64 {
-        self.0.iter().sum()
+    /// Each slot's median time.
+    pub fn medians(&self) -> Vec<f64> {
+        self.0.iter().map(|slot| median(slot)).collect()
     }
 }
 
@@ -106,14 +106,13 @@ mod tests {
     }
 
     #[test]
-    fn floor_keeps_each_slots_lowest_time() {
-        let mut floor = Floor::default();
-        assert_eq!(floor.sum(), 0.0);
-        floor.add(&[3.0, 1.0, 4.0]);
-        floor.add(&[2.0, 5.0, 4.5]);
-        floor.add(&[2.5, 0.5, 6.0]);
-        assert_eq!(floor.0, [2.0, 0.5, 4.0]);
-        assert_eq!(floor.sum(), 6.5);
+    fn slots_keep_each_slots_median() {
+        let mut slots = Slots::default();
+        assert!(slots.medians().is_empty());
+        slots.add(&[3.0, 1.0, 4.0]);
+        slots.add(&[2.0, 5.0, 4.5]);
+        slots.add(&[2.5, 0.5, 6.0]);
+        assert_eq!(slots.medians(), [2.5, 1.0, 4.5]);
     }
 
     #[test]
