@@ -15,9 +15,9 @@ use crate::VIEWPORT;
 use eclair_trace::perf;
 
 /// Whether `ECLAIR_NO_CACHE=1` is set: the global kill switch that turns
-/// off the frame cache, incremental relayout, and perception memoization
-/// everywhere. The cache-transparency invariant says flipping this must
-/// not change a single serialized byte.
+/// off the frame cache, the rebuild skip, the layout cache, and perception
+/// memoization everywhere. The cache-transparency invariant says flipping
+/// this must not change a single serialized byte.
 pub fn no_cache_env() -> bool {
     std::env::var("ECLAIR_NO_CACHE")
         .map(|v| v == "1")
@@ -98,7 +98,7 @@ pub struct Session {
     /// (a popup appearing, a widget toggling) must not revert what the
     /// user has typed, even over a prefilled value.
     edited: std::collections::HashSet<crate::intern::Sym>,
-    /// Whether the frame cache and incremental relayout are on. Defaults
+    /// Whether the frame cache, rebuild skip and layout cache are on. Defaults
     /// to `!no_cache_env()`; flipping it must be unobservable in any
     /// serialized artifact (the transparency invariant).
     cache_enabled: bool,
@@ -192,7 +192,7 @@ impl Session {
         (self.page.content_height as i32 - VIEWPORT.h as i32).max(0)
     }
 
-    /// Turn the frame cache and incremental relayout on or off for this
+    /// Turn the frame cache, rebuild skip and layout cache on or off for this
     /// session (the `ECLAIR_NO_CACHE=1` path, and per-run toggles).
     pub fn set_cache_enabled(&mut self, on: bool) {
         if self.cache_enabled != on {
@@ -202,7 +202,7 @@ impl Session {
         }
     }
 
-    /// Whether the frame cache and incremental relayout are on.
+    /// Whether the frame cache, rebuild skip and layout cache are on.
     pub fn cache_enabled(&self) -> bool {
         self.cache_enabled
     }
@@ -241,7 +241,7 @@ impl Session {
         let fresh = self.app.build();
         let sig = page_structural_sig(&fresh);
         if self.cache_enabled && !url_changed && self.build_sig == Some(sig) {
-            // Incremental relayout: the app re-rendered a structurally
+            // Rebuild skip: the app re-rendered a structurally
             // identical screen and the live page has no local mutations a
             // transplant would need to reconcile (`build_sig` is `Some`),
             // so layout, theming, and transplanting would reproduce the
@@ -523,13 +523,11 @@ impl Session {
                 if rebuild {
                     self.after_app_event();
                 } else {
-                    // App does not track it; excise the subtree locally.
-                    // Removal (not hiding) vacates the arena slots, so the
-                    // next injected popup reuses them instead of growing
-                    // the arena for the life of the page.
+                    // App does not track it; excise the subtree locally
+                    // and re-run the (usually cache-served) full walk.
                     let _cache_off = (!self.cache_enabled).then(crate::layout::scoped_cache_off);
                     self.page.remove_subtree(id);
-                    self.page.relayout_incremental();
+                    self.page.relayout();
                     self.touch_page();
                 }
                 (Some((name, label)), EffectKind::Dismissed)
@@ -969,8 +967,8 @@ mod tests {
     }
 
     /// App whose `tick` always requests a rebuild but whose screen never
-    /// changes — the pattern (polling re-render) incremental relayout
-    /// exists for.
+    /// changes — the pattern (polling re-render) the rebuild skip exists
+    /// for.
     struct SteadyApp;
     impl GuiApp for SteadyApp {
         fn name(&self) -> &str {

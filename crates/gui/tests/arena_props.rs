@@ -1,19 +1,17 @@
-//! Property tests for the arena-backed GUI core.
-//!
-//! Three contracts, each load-bearing for the incremental-relayout design:
+//! Property tests for the GUI core: the string interner and the global
+//! layout cache.
 //!
 //! 1. **Interner determinism** — equal strings always intern to the same
 //!    [`Sym`], distinct strings never alias, and serde round-trips the
 //!    *string* (ids must never leak into artifacts).
-//! 2. **Generation safety** — a [`NodeId`] that survived a removal can
-//!    never resolve again, no matter how its slot is reused.
-//! 3. **Partial/full equivalence** — any sequence of widget mutations
-//!    followed by [`Page::relayout_incremental`] produces byte-identical
-//!    pages and frames to the same mutations followed by a full
-//!    [`Page::relayout`]. This is the property that makes dirty-subtree
-//!    relayout an optimization rather than a behavior change.
+//! 2. **Cache transparency** — after any sequence of widget mutations and
+//!    subtree removals, a [`Page::relayout`] replayed from the layout cache
+//!    produces byte-identical pages and frames to the same relayout run
+//!    under [`layout::scoped_cache_off`]. This is the property that makes
+//!    the cache an optimization rather than a behavior change.
 
-use eclair_gui::{intern, NodeId, Page, PageBuilder, SlotArena, Sym, WidgetId};
+use eclair_gui::{intern, layout, Page, PageBuilder, Sym, WidgetId};
+use eclair_trace::perf;
 use proptest::prelude::*;
 
 proptest! {
@@ -46,45 +44,13 @@ proptest! {
         let back: Sym = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, sym);
     }
-
-    #[test]
-    fn arena_generations_protect_stale_ids(
-        ops in proptest::collection::vec((0u8..2, 0usize..16), 1..60),
-    ) {
-        let mut arena: SlotArena<u64> = SlotArena::new();
-        let mut live: Vec<(NodeId, u64)> = Vec::new();
-        let mut dead: Vec<NodeId> = Vec::new();
-        let mut next = 0u64;
-        for (op, pick) in ops {
-            if op == 0 || live.is_empty() {
-                let id = arena.insert(next);
-                live.push((id, next));
-                next += 1;
-            } else {
-                let (id, _) = live.remove(pick % live.len());
-                prop_assert!(arena.remove(id, u64::MAX).is_some());
-                dead.push(id);
-            }
-            for (id, v) in &live {
-                prop_assert!(arena.contains(*id));
-                prop_assert_eq!(arena.get(*id), Some(v));
-            }
-            for id in &dead {
-                // A dead id stays dead even after its slot is reused: the
-                // generation check, not the slot index, decides liveness.
-                prop_assert!(!arena.contains(*id));
-                prop_assert!(arena.get(*id).is_none());
-            }
-            prop_assert_eq!(arena.live_count(), live.len());
-        }
-    }
 }
 
 /// A page with enough structure for mutations to matter: nested sections,
 /// a form, a row (horizontal flow), and leaf text.
 fn build_page() -> Page {
     let mut b = PageBuilder::new("Props", "/props");
-    b.heading(1, "Arena proptest");
+    b.heading(1, "Layout proptest");
     b.section(|b| {
         b.text("intro text");
         b.form("form-a", |b| {
@@ -105,23 +71,27 @@ fn build_page() -> Page {
     b.finish()
 }
 
-/// Non-root ids whose slot is still occupied (mutation candidates).
+/// Non-root ids whose slot still holds a widget (mutation candidates).
+/// Only the root and tombstoned slots have no parent.
 fn live_ids(p: &Page) -> Vec<WidgetId> {
     (0..p.len() as u32)
         .map(WidgetId)
-        .filter(|&id| id != p.root() && p.node_id(id).is_some())
+        .filter(|&id| p.get(id).parent.is_some())
         .collect()
 }
 
 proptest! {
     #[test]
-    fn incremental_relayout_matches_full_relayout(
+    fn cached_relayout_matches_uncached_relayout(
         ops in proptest::collection::vec((0u8..4, 0usize..64, 0usize..8), 0..10),
     ) {
-        let mut inc = build_page();
-        let mut full = build_page();
+        let mut cached = build_page();
+        let mut uncached = {
+            let _off = layout::scoped_cache_off();
+            build_page()
+        };
         for (kind, pick, payload) in ops {
-            let candidates = live_ids(&inc);
+            let candidates = live_ids(&cached);
             if candidates.is_empty() {
                 break;
             }
@@ -129,36 +99,44 @@ proptest! {
             match kind {
                 0 => {
                     let v: Sym = format!("v{payload}").into();
-                    inc.get_mut(id).value = v;
-                    full.get_mut(id).value = v;
+                    cached.get_mut(id).value = v;
+                    uncached.get_mut(id).value = v;
                 }
                 1 => {
                     let l: Sym = format!("relabeled {payload}").into();
-                    inc.get_mut(id).label = l;
-                    full.get_mut(id).label = l;
+                    cached.get_mut(id).label = l;
+                    uncached.get_mut(id).label = l;
                 }
                 2 => {
-                    let vis = !inc.get(id).visible;
-                    inc.get_mut(id).visible = vis;
-                    full.get_mut(id).visible = vis;
+                    let vis = !cached.get(id).visible;
+                    cached.get_mut(id).visible = vis;
+                    uncached.get_mut(id).visible = vis;
                 }
                 _ => {
-                    prop_assert_eq!(inc.remove_subtree(id), full.remove_subtree(id));
+                    prop_assert_eq!(cached.remove_subtree(id), uncached.remove_subtree(id));
                 }
             }
-            inc.relayout_incremental();
-            full.relayout();
+            // Seed the cache with this signature (a walk on a miss) so the
+            // relayout under test is always a replay.
+            cached.clone().relayout();
+            let hits = perf::snapshot().layout_cache_hits;
+            cached.relayout();
+            prop_assert_eq!(perf::snapshot().layout_cache_hits, hits + 1);
+            {
+                let _off = layout::scoped_cache_off();
+                uncached.relayout();
+            }
             // Byte equivalence after *every* step, not just at the end:
             // an intermediate divergence that later self-corrects would
             // still have served a wrong frame.
-            prop_assert_eq!(inc.content_height, full.content_height);
-            let fa = inc.screenshot_at(0);
-            let fb = full.screenshot_at(0);
+            prop_assert_eq!(cached.content_height, uncached.content_height);
+            let fa = cached.screenshot_at(0);
+            let fb = uncached.screenshot_at(0);
             prop_assert_eq!(fa.frame_hash(), fb.frame_hash());
             prop_assert_eq!(&fa, &fb);
             prop_assert_eq!(
-                serde_json::to_string(&inc).unwrap(),
-                serde_json::to_string(&full).unwrap()
+                serde_json::to_string(&cached).unwrap(),
+                serde_json::to_string(&uncached).unwrap()
             );
         }
     }
