@@ -1,6 +1,8 @@
 //! Micro-benchmarks for the GUI core: interning, page build, the full
 //! layout walk, and the memoized frame hash — the primitives the
 //! `perf_bench` macro numbers decompose into.
+//!
+//! `gui_core/relayout_full` times the real walk on every iteration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eclair_gui::{intern, PageBuilder};

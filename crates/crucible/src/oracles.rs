@@ -225,11 +225,11 @@ fn faults_iff_chaos(run: &ScenarioRun) -> Verdict {
 
 fn cache_transparent(run: &ScenarioRun) -> Verdict {
     // The frame cache and perception memo are optimizations, never
-    // observables: a cache hit re-accounts the identical tokens and the
-    // skipped relayout reproduces the page a full rebuild would have
-    // built. The runner re-executed the scenario with the caches toggled
-    // the other way; any drift in outcome or trace means a cache served
-    // stale state or leaked its existence into the record.
+    // observables: a cache hit re-accounts the identical tokens and a
+    // cached frame is byte-identical to a fresh render. The runner
+    // re-executed the scenario with the caches toggled the other way; any
+    // drift in outcome or trace means a cache served stale state or leaked
+    // its existence into the record.
     let flip = &run.cache_flip;
     if flip.outcome.to_json() != run.report.outcome.to_json() {
         return Verdict::Fail(format!(

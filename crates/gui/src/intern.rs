@@ -3,9 +3,8 @@
 //! Every widget-facing string (`tag`/`label`/`name`/`value`/`placeholder`/
 //! `options`) is stored as a [`Sym`] — a `u32` handle into a process-wide
 //! table of leaked `&'static str`s. Equal strings always intern to the same
-//! id, distinct strings never alias, so widget comparison is an integer
-//! compare and internal signatures (build sig, layout sig) can fold the id
-//! instead of re-hashing the bytes.
+//! id and distinct strings never alias, so widget comparison is an integer
+//! compare.
 //!
 //! Determinism contract: ids are assigned in first-intern order, which is
 //! deterministic for a single-threaded driver and *stable enough* for every
@@ -82,13 +81,6 @@ impl Sym {
     pub fn as_str(self) -> &'static str {
         let t = table().lock().expect("interner poisoned");
         t.strings[self.0 as usize]
-    }
-
-    /// The raw id. For in-process signature folding only — ids are
-    /// intern-order dependent and must never be serialized or hashed into
-    /// a byte-compared artifact.
-    pub fn id(self) -> u32 {
-        self.0
     }
 }
 
@@ -235,7 +227,7 @@ mod tests {
         let owned = String::from("submit-order");
         let b = intern(&owned);
         assert_eq!(a, b);
-        assert_eq!(a.id(), b.id());
+        assert_eq!(a.0, b.0);
         assert_eq!(a.as_str(), "submit-order");
     }
 
@@ -244,13 +236,13 @@ mod tests {
         let a = intern("alpha-unique-x");
         let b = intern("beta-unique-x");
         assert_ne!(a, b);
-        assert_ne!(a.id(), b.id());
+        assert_ne!(a.0, b.0);
     }
 
     #[test]
     fn empty_is_id_zero_and_default() {
         assert_eq!(intern(""), Sym::EMPTY);
-        assert_eq!(Sym::default().id(), 0);
+        assert_eq!(Sym::default().0, 0);
         assert!(Sym::default().is_empty());
     }
 

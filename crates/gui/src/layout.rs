@@ -8,29 +8,11 @@
 //! they move every subsequent widget, which is what breaks position-based
 //! RPA selectors.
 //!
-//! Two perf layers sit on top of the walk, neither of which may change a
-//! single computed pixel:
-//!
-//! 1. **Scratch pooling** — per-walk allocations (child id stacks, the
-//!    write log) come from a thread-local scratch reused across walks and
-//!    truncated wholesale at the end, the scoped-arena discipline.
-//! 2. **A global layout cache** — a full walk reads only a small slice of
-//!    each widget (kind / visibility / level / fixed size / label /
-//!    children), so its output is a pure function of a cheap signature
-//!    over interned ids. The cache replays the exact bounds writes of an
-//!    earlier identical walk (the write log, not a bounds-per-slot dump,
-//!    so widgets the walk never touched keep their stale bounds exactly
-//!    as a real walk would leave them). Lookups compute inside the lock,
-//!    so each unique signature misses exactly once even under a
-//!    multi-worker fleet and the aggregate counters stay deterministic.
-//!
-//! `ECLAIR_NO_CACHE=1` bypasses the cache (checked per walk, so a harness
-//! can flip it between legs), and [`scoped_cache_off`] bypasses it for one
-//! session on one thread, mirroring `Session::set_cache_enabled`.
+//! Per-walk allocations (the child-id stack the container pass iterates)
+//! come from a thread-local scratch reused across walks and truncated
+//! wholesale at the end, the scoped-arena discipline.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::RefCell;
 
 use eclair_trace::perf;
 
@@ -52,166 +34,33 @@ pub const PAGE_W: u32 = 1280;
 /// Modal dialog width.
 pub const MODAL_W: u32 = 520;
 
-/// Entries the layout cache refuses to grow past. No eviction: page
-/// signatures repeat heavily (that is the whole point), so a cap merely
-/// bounds a pathological workload without perturbing steady-state counts.
-const LAYOUT_CACHE_CAP: usize = 8192;
-
-fn text_width(s: &str, char_w: u32) -> u32 {
-    s.chars().count() as u32 * char_w
-}
-
 /// Per-thread scratch reused across layout walks: the child-id stack the
-/// container pass iterates (replacing a per-container `Vec` clone) and the
-/// bounds write log. Freed wholesale (truncated) when a walk finishes;
-/// capacity persists.
+/// container pass iterates (replacing a per-container `Vec` clone).
+/// Freed wholesale (truncated) when a walk finishes; capacity persists.
 #[derive(Default)]
 struct Scratch {
     kids: Vec<WidgetId>,
-    log: Vec<WriteEntry>,
-}
-
-#[derive(Clone, Copy)]
-struct WriteEntry {
-    slot: u32,
-    bounds: Rect,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-    static CACHE_OFF_DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// RAII guard disabling the layout cache on this thread while held.
-/// Mirrors `Session::set_cache_enabled(false)`: the session's layouts run
-/// for real without poking the process-wide cache.
-pub struct LayoutCacheOff(());
-
-/// Disable the layout cache on this thread until the guard drops.
-pub fn scoped_cache_off() -> LayoutCacheOff {
-    CACHE_OFF_DEPTH.with(|d| d.set(d.get() + 1));
-    LayoutCacheOff(())
-}
-
-impl Drop for LayoutCacheOff {
-    fn drop(&mut self) {
-        CACHE_OFF_DEPTH.with(|d| d.set(d.get() - 1));
-    }
-}
-
-fn cache_bypassed() -> bool {
-    // Re-read the env every walk: perf_bench flips ECLAIR_NO_CACHE between
-    // legs of one process.
-    std::env::var_os("ECLAIR_NO_CACHE").is_some() || CACHE_OFF_DEPTH.with(|d| d.get() > 0)
-}
-
-struct CacheEntry {
-    writes: Vec<WriteEntry>,
-    content_height: u32,
-}
-
-fn layout_cache() -> &'static Mutex<HashMap<u64, Arc<CacheEntry>>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<CacheEntry>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-#[inline]
-fn fnv(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Signature over exactly the widget fields a layout walk reads: kind,
-/// visibility, heading level, pinned sizes, label (as its interned id —
-/// equal ids iff equal strings, so this is collision-free by construction
-/// for the label part), and child topology. Values, names, placeholders,
-/// options, and enabled flags are invisible to layout and deliberately
-/// excluded — editing a field must not change the page's layout identity.
-fn layout_sig(widgets: &[Widget], root: WidgetId) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv(h, root.0 as u64);
-    h = fnv(h, widgets.len() as u64);
-    for w in widgets {
-        h = fnv(
-            h,
-            (w.kind as u64)
-                | ((w.visible as u64) << 8)
-                | ((w.level as u64) << 16)
-                | ((w.label.id() as u64) << 32),
-        );
-        h = fnv(
-            h,
-            (w.fixed_w.map_or(0, |v| v as u64 + 1)) | (w.fixed_h.map_or(0, |v| v as u64 + 1) << 32),
-        );
-        h = fnv(h, w.children.len() as u64);
-        for c in &w.children {
-            h = fnv(h, c.0 as u64);
-        }
-    }
-    h
 }
 
 /// Lay out the arena starting at `root`; fills every widget's `bounds` in
 /// page coordinates and returns the total content height.
 ///
-/// Served from the global layout cache when an identical walk already ran
-/// (`layout_cache_hits`); otherwise the full walk runs (`relayouts_full`)
-/// and its write log is cached for replay.
+/// Every call is a full walk (`relayouts_full`): the flow pass from the
+/// root, then the modal and toast overlay passes.
 pub fn layout_page(widgets: &mut [Widget], root: WidgetId) -> u32 {
-    if cache_bypassed() {
-        perf::record(|c| c.relayouts_full += 1);
-        return SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            scratch.log.clear();
-            let h = walk_page(widgets, root, scratch);
-            scratch.kids.clear();
-            scratch.log.clear();
-            h
-        });
-    }
-    let sig = layout_sig(widgets, root);
-    let mut cache = layout_cache().lock().expect("layout cache poisoned");
-    if let Some(entry) = cache.get(&sig).cloned() {
-        drop(cache);
-        for e in &entry.writes {
-            widgets[e.slot as usize].bounds = e.bounds;
-        }
-        perf::record(|c| c.layout_cache_hits += 1);
-        return entry.content_height;
-    }
-    // Compute inside the lock: concurrent walks of the same signature
-    // coalesce into one miss, keeping fleet-merged counts deterministic.
-    let h = SCRATCH.with(|s| {
-        let scratch = &mut *s.borrow_mut();
-        scratch.log.clear();
-        let h = walk_page(widgets, root, scratch);
-        if cache.len() < LAYOUT_CACHE_CAP {
-            cache.insert(
-                sig,
-                Arc::new(CacheEntry {
-                    writes: scratch.log.clone(),
-                    content_height: h,
-                }),
-            );
-        }
-        scratch.kids.clear();
-        scratch.log.clear();
-        h
-    });
     perf::record(|c| c.relayouts_full += 1);
-    h
+    SCRATCH.with(|s| {
+        let scratch = &mut *s.borrow_mut();
+        let h = walk_page(widgets, root, scratch);
+        scratch.kids.clear();
+        h
+    })
 }
 
-/// The uncached full walk: flow pass from the root, then the modal and
-/// toast overlay passes. Every bounds write goes through the scratch log
-/// so a cache entry can replay it exactly.
 fn walk_page(widgets: &mut [Widget], root: WidgetId, scratch: &mut Scratch) -> u32 {
     let avail = PAGE_W - 2 * PAGE_PAD;
     let used = place(
@@ -254,16 +103,10 @@ fn place_toasts(widgets: &mut [Widget], scratch: &mut Scratch) {
         let t = scratch.kids[i];
         let size = leaf_size(&widgets[t.index()], 480);
         let x = PAGE_W as i32 - size.w as i32 - 24;
-        set_bounds(widgets, scratch, t.0, Rect::new(x, toast_y, size.w, size.h));
+        widgets[t.index()].bounds = Rect::new(x, toast_y, size.w, size.h);
         toast_y += size.h as i32 + 8;
     }
     scratch.kids.truncate(start);
-}
-
-#[inline]
-fn set_bounds(widgets: &mut [Widget], scratch: &mut Scratch, slot: u32, bounds: Rect) {
-    widgets[slot as usize].bounds = bounds;
-    scratch.log.push(WriteEntry { slot, bounds });
 }
 
 /// Recursively place `id` at (x, y) with `avail_w` of horizontal room.
@@ -281,7 +124,7 @@ fn place(
         (w.kind, w.visible, w.fixed_w, !w.children.is_empty())
     };
     if !visible {
-        set_bounds(widgets, scratch, id.0, Rect::new(x, y, 0, 0));
+        widgets[id.index()].bounds = Rect::new(x, y, 0, 0);
         return Size::new(0, 0);
     }
     // A pinned width constrains the widget and everything inside it.
@@ -293,7 +136,7 @@ fn place(
     } else {
         leaf_size(&widgets[id.index()], avail_w)
     };
-    set_bounds(widgets, scratch, id.0, Rect::new(x, y, size.w, size.h));
+    widgets[id.index()].bounds = Rect::new(x, y, size.w, size.h);
     size
 }
 
@@ -334,7 +177,7 @@ fn place_container(
             continue; // the overlay pass places modals and toasts
         }
         if !widgets[child.index()].visible {
-            set_bounds(widgets, scratch, child.0, Rect::new(cx, cy, 0, 0));
+            widgets[child.index()].bounds = Rect::new(cx, cy, 0, 0);
             continue;
         }
         if horizontal {
@@ -372,7 +215,9 @@ fn place_container(
 
 /// Intrinsic pixel size of a leaf widget given available width.
 fn leaf_size(w: &Widget, avail_w: u32) -> Size {
-    let label_len = w.label.chars().count() as u32;
+    // Resolving a label takes the interner lock, so only the kinds sized
+    // by their label read it, once.
+    let label_len = || w.label.chars().count() as u32;
     match w.kind {
         WidgetKind::Heading => {
             let (char_w, h) = match w.level {
@@ -380,20 +225,20 @@ fn leaf_size(w: &Widget, avail_w: u32) -> Size {
                 2 => (11, 34),
                 _ => (9, 26),
             };
-            Size::new(text_width(&w.label, char_w).min(avail_w).max(CHAR_W), h)
+            Size::new((label_len() * char_w).min(avail_w).max(CHAR_W), h)
         }
         WidgetKind::Text => {
-            let total = text_width(&w.label, CHAR_W).max(CHAR_W);
+            let total = (label_len() * CHAR_W).max(CHAR_W);
             let per_line = avail_w.max(CHAR_W);
             let lines = total.div_ceil(per_line).max(1);
             Size::new(total.min(per_line), lines * LINE_H)
         }
         WidgetKind::Button => {
-            let w_px = w.fixed_w.unwrap_or((label_len * CHAR_W + 36).max(64));
+            let w_px = w.fixed_w.unwrap_or((label_len() * CHAR_W + 36).max(64));
             Size::new(w_px.min(avail_w), w.fixed_h.unwrap_or(34))
         }
         WidgetKind::Link => Size::new(
-            (label_len * CHAR_W).max(CHAR_W).min(avail_w),
+            (label_len() * CHAR_W).max(CHAR_W).min(avail_w),
             w.fixed_h.unwrap_or(LINE_H),
         ),
         WidgetKind::Icon => Size::new(w.fixed_w.unwrap_or(26), w.fixed_h.unwrap_or(26)),
@@ -406,17 +251,17 @@ fn leaf_size(w: &Widget, avail_w: u32) -> Size {
             w.fixed_h.unwrap_or(110),
         ),
         WidgetKind::Checkbox | WidgetKind::Radio => {
-            Size::new((22 + 8 + label_len * CHAR_W).min(avail_w), 24)
+            Size::new((22 + 8 + label_len() * CHAR_W).min(avail_w), 24)
         }
         WidgetKind::MenuItem => Size::new(
             w.fixed_w
-                .unwrap_or((label_len * CHAR_W + 24).max(140))
+                .unwrap_or((label_len() * CHAR_W + 24).max(140))
                 .min(avail_w),
             28,
         ),
-        WidgetKind::Tab => Size::new((label_len * CHAR_W + 28).min(avail_w), 38),
-        WidgetKind::Badge => Size::new((label_len * 7 + 18).min(avail_w), 22),
-        WidgetKind::Toast => Size::new((text_width(&w.label, CHAR_W) + 28).min(avail_w), 36),
+        WidgetKind::Tab => Size::new((label_len() * CHAR_W + 28).min(avail_w), 38),
+        WidgetKind::Badge => Size::new((label_len() * 7 + 18).min(avail_w), 22),
+        WidgetKind::Toast => Size::new((label_len() * CHAR_W + 28).min(avail_w), 36),
         WidgetKind::Image => Size::new(
             w.fixed_w.unwrap_or(160).min(avail_w),
             w.fixed_h.unwrap_or(120),
@@ -581,13 +426,12 @@ mod tests {
     }
 
     #[test]
-    fn cached_walk_replays_identical_bounds() {
+    fn identical_builds_lay_out_identically() {
         // Two separately built copies of an identical page must come out
-        // of `finish()` with identical geometry whether the second build
-        // was served from the layout cache or not.
+        // of `finish()` with identical geometry.
         let build = || {
-            let mut b = PageBuilder::new("cache-replay", "/cache-replay");
-            b.heading(1, "Cache replay");
+            let mut b = PageBuilder::new("twin", "/twin");
+            b.heading(1, "Twin builds");
             b.form("f", |b| {
                 b.text_input("x", "Field", "hint");
                 b.button("go", "Go");
@@ -600,23 +444,5 @@ mod tests {
             assert_eq!(wa.bounds, wb.bounds, "{:?} '{}'", wa.kind, wa.label);
         }
         assert_eq!(a.content_height, b.content_height);
-    }
-
-    #[test]
-    fn layout_sig_ignores_values_but_not_labels() {
-        let build = |label: &str, value: &str| {
-            let mut b = PageBuilder::new("sig", "/sig");
-            let id = b.text_input("f", label, "hint");
-            let mut p = b.finish();
-            p.get_mut(id).value = value.into();
-            p
-        };
-        let base = build("Name", "");
-        let edited = build("Name", "Ada");
-        let relabeled = build("Full name", "");
-        use crate::tree::Page;
-        let sig = |p: &Page| layout_sig(p.widgets(), p.root());
-        assert_eq!(sig(&base), sig(&edited), "values are layout-invisible");
-        assert_ne!(sig(&base), sig(&relabeled), "labels size widgets");
     }
 }

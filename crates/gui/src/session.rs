@@ -15,9 +15,9 @@ use crate::VIEWPORT;
 use eclair_trace::perf;
 
 /// Whether `ECLAIR_NO_CACHE=1` is set: the global kill switch that turns
-/// off the frame cache, the rebuild skip, the layout cache, and perception
-/// memoization everywhere. The cache-transparency invariant says flipping
-/// this must not change a single serialized byte.
+/// off the frame cache, perception memoization and the shared cache
+/// everywhere. The cache-transparency invariant says flipping this must
+/// not change a single serialized byte.
 pub fn no_cache_env() -> bool {
     std::env::var("ECLAIR_NO_CACHE")
         .map(|v| v == "1")
@@ -98,20 +98,14 @@ pub struct Session {
     /// (a popup appearing, a widget toggling) must not revert what the
     /// user has typed, even over a prefilled value.
     edited: std::collections::HashSet<crate::intern::Sym>,
-    /// Whether the frame cache, rebuild skip and layout cache are on. Defaults
-    /// to `!no_cache_env()`; flipping it must be unobservable in any
-    /// serialized artifact (the transparency invariant).
+    /// Whether the frame cache is on. Defaults to `!no_cache_env()`;
+    /// flipping it must be unobservable in any serialized artifact (the
+    /// transparency invariant).
     cache_enabled: bool,
     /// Bumped every time the live page is mutated in place or replaced.
     /// Scroll-only dispatches leave it alone — the dirty-tracking signal
     /// the frame cache and the tests key off.
     page_epoch: u64,
-    /// FNV signature of the last *un-themed* `app.build()` output that the
-    /// live page was produced from. `None` means the live page has local
-    /// mutations a fresh build would not reproduce (typed drafts, locally
-    /// toggled widgets, locally hidden toasts), so the next rebuild must
-    /// take the full transplant path.
-    build_sig: Option<u64>,
     /// Rendered frames for the current page epoch, keyed by what else
     /// feeds `Screenshot::render`: scroll offset and caret rect.
     frame_cache: std::collections::HashMap<(i32, Option<Rect>), Arc<Screenshot>>,
@@ -129,10 +123,7 @@ impl Session {
 
     /// Start a session with an explicit theme (used by the drift studies).
     pub fn with_theme(app: Box<dyn GuiApp>, theme: Theme) -> Self {
-        let cache_enabled = !no_cache_env();
-        let _cache_off = (!cache_enabled).then(crate::layout::scoped_cache_off);
         let mut page = app.build();
-        let sig = page_structural_sig(&page);
         theme.apply(&mut page);
         Self {
             app,
@@ -143,9 +134,8 @@ impl Session {
             frame: 0,
             nav_count: 0,
             edited: std::collections::HashSet::new(),
-            cache_enabled,
+            cache_enabled: !no_cache_env(),
             page_epoch: 0,
-            build_sig: Some(sig),
             frame_cache: std::collections::HashMap::new(),
             frame_order: std::collections::VecDeque::new(),
         }
@@ -192,23 +182,22 @@ impl Session {
         (self.page.content_height as i32 - VIEWPORT.h as i32).max(0)
     }
 
-    /// Turn the frame cache, rebuild skip and layout cache on or off for this
-    /// session (the `ECLAIR_NO_CACHE=1` path, and per-run toggles).
+    /// Turn the frame cache on or off for this session (the
+    /// `ECLAIR_NO_CACHE=1` path, and per-run toggles).
     pub fn set_cache_enabled(&mut self, on: bool) {
         if self.cache_enabled != on {
             self.cache_enabled = on;
             self.invalidate_frames();
-            self.build_sig = None;
         }
     }
 
-    /// Whether the frame cache, rebuild skip and layout cache are on.
+    /// Whether the frame cache is on.
     pub fn cache_enabled(&self) -> bool {
         self.cache_enabled
     }
 
-    /// Dirty-tracking epoch: bumped by every page mutation, untouched by
-    /// scroll-only dispatches and skipped relayouts.
+    /// Dirty-tracking epoch: bumped by every page mutation and rebuild,
+    /// untouched by scroll-only dispatches.
     pub fn page_epoch(&self) -> u64 {
         self.page_epoch
     }
@@ -224,38 +213,16 @@ impl Session {
         }
     }
 
-    /// Record an in-place mutation of the live page: bump the epoch, drop
-    /// cached frames, and forget the build signature so the next rebuild
-    /// takes the full transplant path (a fresh build no longer reproduces
-    /// the live page).
+    /// Record a mutation or replacement of the live page: bump the epoch
+    /// and drop cached frames.
     fn touch_page(&mut self) {
         self.page_epoch += 1;
-        self.build_sig = None;
         self.invalidate_frames();
     }
 
     fn rebuild(&mut self, url_changed: bool) {
-        // While this session runs cache-disabled, the layout engine below
-        // must neither consult nor seed the process-wide layout cache.
-        let _cache_off = (!self.cache_enabled).then(crate::layout::scoped_cache_off);
         let fresh = self.app.build();
-        let sig = page_structural_sig(&fresh);
-        if self.cache_enabled && !url_changed && self.build_sig == Some(sig) {
-            // Rebuild skip: the app re-rendered a structurally
-            // identical screen and the live page has no local mutations a
-            // transplant would need to reconcile (`build_sig` is `Some`),
-            // so layout, theming, and transplanting would reproduce the
-            // page we already hold. Mirror only the session-state
-            // transitions a full rebuild performs so the skip is
-            // unobservable.
-            self.focus = None;
-            self.scroll_y = self.scroll_y.clamp(0, self.max_scroll());
-            perf::record(|c| c.relayouts_avoided += 1);
-            return;
-        }
-        self.page_epoch += 1;
-        self.invalidate_frames();
-        self.build_sig = Some(sig);
+        self.touch_page();
         let old = std::mem::replace(&mut self.page, fresh);
         self.theme.apply(&mut self.page);
         self.focus = None;
@@ -524,8 +491,7 @@ impl Session {
                     self.after_app_event();
                 } else {
                     // App does not track it; excise the subtree locally
-                    // and re-run the (usually cache-served) full walk.
-                    let _cache_off = (!self.cache_enabled).then(crate::layout::scoped_cache_off);
+                    // and re-run the full walk.
                     self.page.remove_subtree(id);
                     self.page.relayout();
                     self.touch_page();
@@ -656,58 +622,6 @@ impl Session {
             self.scroll_y = (b.bottom() - VIEWPORT.h as i32 + 20).clamp(0, self.max_scroll());
         }
     }
-}
-
-/// FNV-1a signature over everything layout and theming consume from a
-/// freshly built (un-themed) page. Two builds with equal signatures laid
-/// out and themed under the same theme produce identical pages, which is
-/// what licenses [`Session::rebuild`] to skip the reconstruction.
-fn page_structural_sig(page: &Page) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let eat_u64 = |h: &mut u64, v: u64| {
-        for b in v.to_le_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(PRIME);
-        }
-    };
-    fn eat_str(h: &mut u64, s: &str) {
-        for &b in s.as_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(PRIME);
-        }
-        // Separator so ("ab","c") and ("a","bc") differ.
-        *h ^= 0xFF;
-        *h = h.wrapping_mul(PRIME);
-    }
-    eat_str(&mut h, &page.url);
-    eat_str(&mut h, &page.title);
-    for w in page.iter() {
-        eat_u64(&mut h, w.kind as u64);
-        // Interned ids are collision-free stand-ins for the strings (equal
-        // ids iff equal contents) and never leave the process, so folding
-        // them is sound here — unlike in `frame_hash`, which crosses runs.
-        eat_u64(&mut h, (w.tag.id() as u64) | ((w.label.id() as u64) << 32));
-        eat_u64(&mut h, (w.name.id() as u64) | ((w.value.id() as u64) << 32));
-        eat_u64(&mut h, w.placeholder.id() as u64);
-        eat_u64(&mut h, w.options.len() as u64);
-        for o in &w.options {
-            eat_u64(&mut h, o.id() as u64);
-        }
-        eat_u64(
-            &mut h,
-            w.level as u64 | (w.enabled as u64) << 8 | (w.visible as u64) << 9,
-        );
-        eat_u64(&mut h, w.parent.map_or(u64::MAX, |p| p.0 as u64));
-        eat_u64(&mut h, w.children.len() as u64);
-        for c in &w.children {
-            eat_u64(&mut h, c.0 as u64);
-        }
-        eat_u64(&mut h, w.fixed_w.map_or(u64::MAX, u64::from));
-        eat_u64(&mut h, w.fixed_h.map_or(u64::MAX, u64::from));
-    }
-    h
 }
 
 #[cfg(test)]
@@ -966,9 +880,8 @@ mod tests {
         );
     }
 
-    /// App whose `tick` always requests a rebuild but whose screen never
-    /// changes — the pattern (polling re-render) the rebuild skip exists
-    /// for.
+    /// App whose screen never changes: a form over 60 rows of text, tall
+    /// enough to scroll.
     struct SteadyApp;
     impl GuiApp for SteadyApp {
         fn name(&self) -> &str {
@@ -991,65 +904,6 @@ mod tests {
         fn on_event(&mut self, _: SemanticEvent) -> bool {
             false
         }
-        fn tick(&mut self) -> bool {
-            true
-        }
-    }
-
-    #[test]
-    fn unchanged_rebuild_is_skipped_but_edit_dirties_it() {
-        // Engine-level counters (relayouts_full / layout_cache_hits) are
-        // asserted as deltas: the global layout cache is shared across
-        // tests in this binary, so whether a given build walks or replays
-        // depends on what ran before.
-        eclair_trace::perf::reset();
-        let mut s = Session::new(Box::new(SteadyApp));
-        assert!(s.cache_enabled());
-        let epoch = s.page_epoch();
-        let base = eclair_trace::perf::snapshot();
-        s.tick(); // app requests a rebuild; nothing changed
-        let c = eclair_trace::perf::snapshot();
-        assert_eq!(
-            c.relayouts_avoided - base.relayouts_avoided,
-            1,
-            "identical build skips relayout"
-        );
-        assert_eq!(s.page_epoch(), epoch, "skip leaves the epoch alone");
-
-        // Scroll-only dispatch stays clean: the next rebuild still skips.
-        s.dispatch(UserEvent::Scroll(120));
-        s.tick();
-        assert_eq!(
-            eclair_trace::perf::snapshot().relayouts_avoided - base.relayouts_avoided,
-            2
-        );
-        assert_eq!(s.page_epoch(), epoch, "scrolling does not dirty the page");
-
-        // An edit dirties the subtree: the next rebuild must transplant.
-        click_widget(&mut s, "q");
-        s.dispatch(UserEvent::Type("draft".into()));
-        assert!(s.page_epoch() > epoch, "typing dirties the page");
-        let before = eclair_trace::perf::snapshot();
-        s.tick();
-        let c = eclair_trace::perf::snapshot();
-        assert_eq!(
-            c.relayouts_avoided, before.relayouts_avoided,
-            "dirty page cannot skip"
-        );
-        assert_eq!(
-            (c.relayouts_full + c.layout_cache_hits)
-                - (before.relayouts_full + before.layout_cache_hits),
-            1,
-            "dirty page ran exactly one layout (walked or replayed)"
-        );
-        let q = s.page().find_by_name("q").unwrap();
-        assert_eq!(s.page().get(q).value, "draft", "transplant kept the draft");
-        // ... and once reconciled, the next identical build skips again.
-        s.tick();
-        assert_eq!(
-            eclair_trace::perf::snapshot().relayouts_avoided,
-            before.relayouts_avoided + 1
-        );
     }
 
     #[test]
@@ -1063,7 +917,9 @@ mod tests {
         assert_eq!((c.frame_cache_hits, c.frame_cache_misses), (1, 1));
 
         // Scrolling away misses, scrolling back hits the cached frame.
+        let epoch = s.page_epoch();
         s.dispatch(UserEvent::Scroll(200));
+        assert_eq!(s.page_epoch(), epoch, "scrolling does not dirty the page");
         let far = s.screenshot();
         assert!(!Arc::ptr_eq(&a, &far));
         s.dispatch(UserEvent::Scroll(-200));
@@ -1157,21 +1013,6 @@ mod tests {
             (c.frame_cache_hits, c.frame_cache_misses),
             (0, 0),
             "cache-off lookups never touch the counters"
-        );
-        // And rebuilds always take the full path: a real walk, with the
-        // global layout cache neither consulted nor seeded.
-        let before = eclair_trace::perf::snapshot();
-        s.tick();
-        let after = eclair_trace::perf::snapshot();
-        assert_eq!(after.relayouts_avoided, before.relayouts_avoided);
-        assert_eq!(
-            after.relayouts_full - before.relayouts_full,
-            1,
-            "cache off: the walk really ran"
-        );
-        assert_eq!(
-            after.layout_cache_hits, before.layout_cache_hits,
-            "cache off: the global layout cache is not consulted"
         );
     }
 

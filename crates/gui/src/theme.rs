@@ -70,8 +70,7 @@ impl Theme {
         for op in &self.ops {
             apply_op(page, op);
         }
-        // One full walk after all ops; the global layout cache serves it
-        // whenever an identically drifted page was laid out before.
+        // One full walk after all ops.
         page.relayout();
     }
 }

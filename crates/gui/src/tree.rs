@@ -9,7 +9,7 @@
 //! [`PageBuilder`] is the DSL the simulated sites use to describe screens;
 //! `finish()` runs the layout engine so every widget has pixel bounds.
 //! After a mutation that can move widgets, callers run [`Page::relayout`],
-//! the full walk, which the global layout cache usually serves.
+//! the full walk.
 
 use serde::{Deserialize, Serialize};
 
@@ -240,7 +240,7 @@ impl Page {
     }
 
     /// Recompute the full layout (after structural mutation or theme
-    /// application). Usually served from the global layout cache.
+    /// application).
     pub fn relayout(&mut self) {
         self.content_height = layout::layout_page(&mut self.widgets, self.root);
     }

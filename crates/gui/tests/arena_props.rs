@@ -1,17 +1,15 @@
-//! Property tests for the GUI core: the string interner and the global
-//! layout cache.
+//! Property tests for the GUI core: the string interner and the layout
+//! walk.
 //!
 //! 1. **Interner determinism** — equal strings always intern to the same
 //!    [`Sym`], distinct strings never alias, and serde round-trips the
 //!    *string* (ids must never leak into artifacts).
-//! 2. **Cache transparency** — after any sequence of widget mutations and
-//!    subtree removals, a [`Page::relayout`] replayed from the layout cache
-//!    produces byte-identical pages and frames to the same relayout run
-//!    under [`layout::scoped_cache_off`]. This is the property that makes
-//!    the cache an optimization rather than a behavior change.
+//! 2. **Relayout is a pure function of the serialized page** — after any
+//!    sequence of widget mutations and subtree removals, [`Page::relayout`]
+//!    of the page and of its `serde_json` round trip produce byte-identical
+//!    pages and frames: no layout input lives outside what serializes.
 
-use eclair_gui::{intern, layout, Page, PageBuilder, Sym, WidgetId};
-use eclair_trace::perf;
+use eclair_gui::{intern, Page, PageBuilder, Sym, WidgetId};
 use proptest::prelude::*;
 
 proptest! {
@@ -82,61 +80,42 @@ fn live_ids(p: &Page) -> Vec<WidgetId> {
 
 proptest! {
     #[test]
-    fn cached_relayout_matches_uncached_relayout(
+    fn relayout_is_a_pure_function_of_the_serialized_page(
         ops in proptest::collection::vec((0u8..4, 0usize..64, 0usize..8), 0..10),
     ) {
-        let mut cached = build_page();
-        let mut uncached = {
-            let _off = layout::scoped_cache_off();
-            build_page()
-        };
+        let mut page = build_page();
         for (kind, pick, payload) in ops {
-            let candidates = live_ids(&cached);
+            let candidates = live_ids(&page);
             if candidates.is_empty() {
                 break;
             }
             let id = candidates[pick % candidates.len()];
             match kind {
-                0 => {
-                    let v: Sym = format!("v{payload}").into();
-                    cached.get_mut(id).value = v;
-                    uncached.get_mut(id).value = v;
-                }
-                1 => {
-                    let l: Sym = format!("relabeled {payload}").into();
-                    cached.get_mut(id).label = l;
-                    uncached.get_mut(id).label = l;
-                }
+                0 => page.get_mut(id).value = format!("v{payload}").into(),
+                1 => page.get_mut(id).label = format!("relabeled {payload}").into(),
                 2 => {
-                    let vis = !cached.get(id).visible;
-                    cached.get_mut(id).visible = vis;
-                    uncached.get_mut(id).visible = vis;
+                    let vis = !page.get(id).visible;
+                    page.get_mut(id).visible = vis;
                 }
                 _ => {
-                    prop_assert_eq!(cached.remove_subtree(id), uncached.remove_subtree(id));
+                    page.remove_subtree(id);
                 }
             }
-            // Seed the cache with this signature (a walk on a miss) so the
-            // relayout under test is always a replay.
-            cached.clone().relayout();
-            let hits = perf::snapshot().layout_cache_hits;
-            cached.relayout();
-            prop_assert_eq!(perf::snapshot().layout_cache_hits, hits + 1);
-            {
-                let _off = layout::scoped_cache_off();
-                uncached.relayout();
-            }
+            let mut twin: Page =
+                serde_json::from_str(&serde_json::to_string(&page).unwrap()).unwrap();
+            page.relayout();
+            twin.relayout();
             // Byte equivalence after *every* step, not just at the end:
             // an intermediate divergence that later self-corrects would
             // still have served a wrong frame.
-            prop_assert_eq!(cached.content_height, uncached.content_height);
-            let fa = cached.screenshot_at(0);
-            let fb = uncached.screenshot_at(0);
+            prop_assert_eq!(page.content_height, twin.content_height);
+            let fa = page.screenshot_at(0);
+            let fb = twin.screenshot_at(0);
             prop_assert_eq!(fa.frame_hash(), fb.frame_hash());
             prop_assert_eq!(&fa, &fb);
             prop_assert_eq!(
-                serde_json::to_string(&cached).unwrap(),
-                serde_json::to_string(&uncached).unwrap()
+                serde_json::to_string(&page).unwrap(),
+                serde_json::to_string(&twin).unwrap()
             );
         }
     }

@@ -10,6 +10,10 @@
 //! counters are still fully deterministic for a single-threaded driver
 //! (the `perf_bench` bin), which is how `BENCH_perf.json` stays
 //! byte-reproducible while the determinism artifacts stay cache-blind.
+//! Every cache they count is owned by a session, a model or a fleet, so
+//! the same work counts the same however much the process ran before;
+//! the one exception is the interner counters, because the string
+//! interner is process-global.
 //!
 //! Counters are per-thread: fleet workers each accumulate their own and
 //! never contend; harnesses that want totals run sequentially (one
@@ -31,21 +35,16 @@ pub struct PerfCounters {
     /// Frame-cache invalidations (page mutated / fault dirtied the layout
     /// while cached frames existed).
     pub frame_cache_invalidations: u64,
-    /// `Session::rebuild` calls that skipped page reconstruction because
-    /// the app's fresh build was structurally identical.
-    pub relayouts_avoided: u64,
-    /// Full layout walks the GUI layout engine actually ran (a cache miss
-    /// or a cache-disabled pass over the whole tree). Counted at the
-    /// engine, not the session, so a skipped walk can never masquerade as
-    /// a saved one.
+    /// Full layout walks the GUI layout engine ran. Counted at the engine,
+    /// not the session: every relayout is one full walk over the tree.
     pub relayouts_full: u64,
     /// Partial relayouts. Nothing increments this: every relayout is a
-    /// full walk (counted above) or a layout-cache replay (below), so it
-    /// always reads 0. It stays because the wall-clock benchmark reports it
-    /// as `gui.layout.partial`.
+    /// full walk (counted above), so it always reads 0. It stays because
+    /// the wall-clock benchmark reports it as `gui.layout.partial`.
     pub relayouts_partial: u64,
-    /// Full layout walks answered from the global layout cache (bounds
-    /// replayed from an identical earlier walk; no tree traversal ran).
+    /// Layout-cache replays. Nothing increments this: there is no layout
+    /// cache, so it always reads 0. It stays because the wall-clock
+    /// benchmark reports it as `gui.layout.cache_replays`.
     pub layout_cache_hits: u64,
     /// String-interner lookups that found an existing entry.
     pub intern_hits: u64,
@@ -116,7 +115,6 @@ impl PerfCounters {
         self.frame_cache_hits += other.frame_cache_hits;
         self.frame_cache_misses += other.frame_cache_misses;
         self.frame_cache_invalidations += other.frame_cache_invalidations;
-        self.relayouts_avoided += other.relayouts_avoided;
         self.relayouts_full += other.relayouts_full;
         self.relayouts_partial += other.relayouts_partial;
         self.layout_cache_hits += other.layout_cache_hits;
@@ -152,7 +150,6 @@ thread_local! {
         frame_cache_hits: 0,
         frame_cache_misses: 0,
         frame_cache_invalidations: 0,
-        relayouts_avoided: 0,
         relayouts_full: 0,
         relayouts_partial: 0,
         layout_cache_hits: 0,
@@ -238,13 +235,13 @@ mod tests {
         };
         let b = PerfCounters {
             frame_cache_hits: 2,
-            relayouts_avoided: 5,
+            relayouts_full: 5,
             cached_tokens: 7,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.frame_cache_hits, 3);
-        assert_eq!(a.relayouts_avoided, 5);
+        assert_eq!(a.relayouts_full, 5);
         assert_eq!(a.cached_tokens, 17);
     }
 }
