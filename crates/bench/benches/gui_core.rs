@@ -3,9 +3,15 @@
 //! `perf_bench` macro numbers decompose into.
 //!
 //! `gui_core/relayout_full` times the real walk on every iteration.
+//! `gui_core/intern_hit` times the calling thread's front table, which
+//! answers a repeat intern without the global lock; its numbers do not
+//! compare with runs from before the front table existed, which timed the
+//! locked global lookup. `gui_core/sym_deref` and `gui_core/sym_hash` time
+//! resolving a `Sym` (a field read) and hashing one (its address).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eclair_gui::{intern, PageBuilder};
+use std::hash::{BuildHasher, RandomState};
 use std::hint::black_box;
 
 fn busy_page() -> eclair_gui::Page {
@@ -31,6 +37,15 @@ fn bench_gui_core(c: &mut Criterion) {
         let a = intern("gui-core-compare-a");
         let z = intern("gui-core-compare-b");
         b.iter(|| black_box(a == z))
+    });
+    c.bench_function("gui_core/sym_deref", |b| {
+        let s = intern("gui-core-deref");
+        b.iter(|| black_box(black_box(s).len()))
+    });
+    c.bench_function("gui_core/sym_hash", |b| {
+        let s = intern("gui-core-hash");
+        let hasher = RandomState::new();
+        b.iter(|| black_box(hasher.hash_one(black_box(s))))
     });
     c.bench_function("gui_core/page_build", |b| {
         b.iter(|| black_box(busy_page().content_height))

@@ -1,86 +1,115 @@
 //! A global, deterministic string interner.
 //!
 //! Every widget-facing string (`tag`/`label`/`name`/`value`/`placeholder`/
-//! `options`) is stored as a [`Sym`] — a `u32` handle into a process-wide
-//! table of leaked `&'static str`s. Equal strings always intern to the same
-//! id and distinct strings never alias, so widget comparison is an integer
-//! compare.
+//! `options`) is stored as a [`Sym`]: the leaked `&'static str` itself,
+//! held in a process-wide table. Equal strings always intern to the same
+//! allocation and distinct strings never alias, so resolving a `Sym` is a
+//! field read and `Sym == Sym` is an address compare.
 //!
-//! Determinism contract: ids are assigned in first-intern order, which is
-//! deterministic for a single-threaded driver and *stable enough* for every
-//! in-process use (ids never cross a process boundary — serde writes the
-//! resolved string, never the id, and `frame_hash` folds string bytes, not
-//! ids, so all byte-compared artifacts are interner-blind). The table
-//! mutex's compute-inside-lock discipline makes the *aggregate* counters
-//! deterministic even under a multi-worker fleet: each unique string is a
-//! miss exactly once, so merged totals are a pure function of the seeds.
+//! Each thread keeps a front table of the strings it has already seen, so
+//! an intern hit never touches the global table's lock; only a thread's
+//! first sight of a string takes it. Addresses never cross a process
+//! boundary: serde writes the string, `frame_hash` folds string bytes and
+//! `Ord` compares contents, so all byte-compared artifacts are
+//! interner-blind. The counters stay deterministic under a multi-worker
+//! fleet: every call counts one hit or one miss, and each unique string
+//! is a miss exactly once (under the global lock), so merged totals are a
+//! pure function of the seeds.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{LazyLock, Mutex};
 
 use eclair_trace::perf;
 use serde::{Deserialize, Serialize, Value};
 
-/// Interned string handle. `Copy`, 4 bytes, derefs to the string it names.
+/// Interned string handle. `Copy`, derefs to the string it names.
 ///
-/// Equality between two `Sym`s is an id compare; equality against `str` /
-/// `String` compares contents. `Ord` compares contents so sorted output
-/// never depends on intern order.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Sym(u32);
+/// Equality and hashing between `Sym`s use the string's address; equality
+/// against `str` / `String` compares contents. `Ord` compares contents so
+/// sorted output never depends on where a string was allocated.
+#[derive(Clone, Copy)]
+pub struct Sym(&'static str);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
-}
+/// Every string interned in this process, pre-seeded with `""`.
+static TABLE: LazyLock<Mutex<HashSet<&'static str>>> =
+    LazyLock::new(|| Mutex::new(HashSet::from([Sym::EMPTY.0])));
 
-fn table() -> &'static Mutex<Interner> {
-    static TABLE: OnceLock<Mutex<Interner>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut map = HashMap::new();
-        map.insert("", 0u32);
-        Mutex::new(Interner {
-            map,
-            strings: vec![""],
-        })
-    })
+thread_local! {
+    /// The strings this thread has interned: a subset of [`TABLE`].
+    static FRONT: RefCell<HashSet<&'static str>> = RefCell::new(HashSet::new());
 }
 
 /// Intern `s`, returning its stable handle. Repeated calls with equal
 /// strings return the same `Sym`; distinct strings never share one.
 pub fn intern(s: &str) -> Sym {
-    let mut t = table().lock().expect("interner poisoned");
-    if let Some(&id) = t.map.get(s) {
+    if let Some(hit) = FRONT.with(|f| f.borrow().get(s).copied()) {
         perf::record(|c| c.intern_hits += 1);
-        return Sym(id);
+        return Sym(hit);
     }
-    let id = u32::try_from(t.strings.len()).expect("interner overflow");
+    let sym = intern_global(s);
+    FRONT.with(|f| f.borrow_mut().insert(sym.0));
+    sym
+}
+
+/// The global table behind a front-table miss.
+fn intern_global(s: &str) -> Sym {
+    let mut t = TABLE.lock().expect("interner poisoned");
+    if let Some(&hit) = t.get(s) {
+        perf::record(|c| c.intern_hits += 1);
+        return Sym(hit);
+    }
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    t.strings.push(leaked);
-    t.map.insert(leaked, id);
-    let size = t.strings.len() as u64;
+    t.insert(leaked);
+    let size = t.len() as u64;
     perf::record(|c| {
         c.intern_misses += 1;
         c.intern_table_size = c.intern_table_size.max(size);
     });
-    Sym(id)
+    Sym(leaked)
 }
 
 /// Number of distinct strings interned so far in this process.
 pub fn table_size() -> usize {
-    table().lock().expect("interner poisoned").strings.len()
+    TABLE.lock().expect("interner poisoned").len()
 }
 
 impl Sym {
-    /// The empty string's handle (id 0, pre-interned).
-    pub const EMPTY: Sym = Sym(0);
+    /// The empty string's handle (pre-interned).
+    pub const EMPTY: Sym = Sym("");
 
     /// Resolve to the interned string.
     pub fn as_str(self) -> &'static str {
-        let t = table().lock().expect("interner poisoned");
-        t.strings[self.0 as usize]
+        self.0
+    }
+
+    /// The identity of the string: its address. Interned strings are
+    /// unique, so equal addresses mean equal strings. An empty string
+    /// has no address of its own (two `""` literals may differ), so every
+    /// empty `Sym` is identity 0.
+    fn addr(self) -> usize {
+        if self.0.is_empty() {
+            0
+        } else {
+            self.0.as_ptr() as usize
+        }
+    }
+}
+
+impl PartialEq for Sym {
+    fn eq(&self, other: &Self) -> bool {
+        self.addr() == other.addr()
+    }
+}
+
+impl Eq for Sym {}
+
+impl Hash for Sym {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.addr());
     }
 }
 
@@ -190,16 +219,16 @@ impl PartialOrd for Sym {
 
 impl Ord for Sym {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if self.0 == other.0 {
+        if self == other {
             std::cmp::Ordering::Equal
         } else {
-            self.as_str().cmp(other.as_str())
+            self.0.cmp(other.0)
         }
     }
 }
 
-// Serde writes the resolved string, never the id: intern ids are assigned
-// in first-intern order and must not leak into any serialized artifact.
+// Serde writes the string, never its address: addresses differ from run to
+// run and must not leak into any serialized artifact.
 impl Serialize for Sym {
     fn to_value(&self) -> Value {
         Value::Str(self.as_str().to_owned())
@@ -227,7 +256,7 @@ mod tests {
         let owned = String::from("submit-order");
         let b = intern(&owned);
         assert_eq!(a, b);
-        assert_eq!(a.0, b.0);
+        assert!(std::ptr::eq(a.0, b.0), "one allocation per string");
         assert_eq!(a.as_str(), "submit-order");
     }
 
@@ -236,13 +265,13 @@ mod tests {
         let a = intern("alpha-unique-x");
         let b = intern("beta-unique-x");
         assert_ne!(a, b);
-        assert_ne!(a.0, b.0);
+        assert_ne!(a.addr(), b.addr());
     }
 
     #[test]
-    fn empty_is_id_zero_and_default() {
+    fn empty_is_identity_zero_and_default() {
         assert_eq!(intern(""), Sym::EMPTY);
-        assert_eq!(Sym::default().0, 0);
+        assert_eq!(Sym::default().addr(), 0);
         assert!(Sym::default().is_empty());
     }
 
@@ -263,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trips_the_string_not_the_id() {
+    fn serde_round_trips_the_string_not_the_address() {
         let s = intern("serde-round-trip");
         let json = serde_json::to_string(&s).unwrap();
         assert_eq!(json, "\"serde-round-trip\"");

@@ -215,8 +215,8 @@ fn place_container(
 
 /// Intrinsic pixel size of a leaf widget given available width.
 fn leaf_size(w: &Widget, avail_w: u32) -> Size {
-    // Resolving a label takes the interner lock, so only the kinds sized
-    // by their label read it, once.
+    // Counting a label's characters walks its bytes, so only the kinds
+    // sized by their label count them, once.
     let label_len = || w.label.chars().count() as u32;
     match w.kind {
         WidgetKind::Heading => {

@@ -264,11 +264,10 @@ impl Screenshot {
     /// same pixels. This is the content-address the session frame cache and
     /// the perception memo key on.
     ///
-    /// Deliberately hashes item text *bytes*, never interned `Sym` ids:
+    /// Deliberately hashes item text *bytes*, never a `Sym`'s address:
     /// the hash seeds simulated FM perception, so it must be identical
-    /// across processes and across fleet/sequential runs, while intern ids
-    /// depend on first-intern order (thread scheduling). Folding ids is
-    /// reserved for in-process signatures (build sig, layout sig).
+    /// across processes and across fleet/sequential runs, while where an
+    /// interned string lives differs from run to run.
     ///
     /// Memoized: frames are immutable once rendered (mutate a clone — the
     /// memo resets on clone — never a frame that has already been hashed).

@@ -241,7 +241,7 @@ impl Widget {
         self.display_sym().as_str()
     }
 
-    /// [`Widget::display_text`] as an interned handle (no resolve needed).
+    /// [`Widget::display_text`] as an interned handle.
     pub fn display_sym(&self) -> Sym {
         if self.kind.is_editable() {
             if !self.value.is_empty() {

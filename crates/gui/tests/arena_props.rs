@@ -2,12 +2,15 @@
 //! walk.
 //!
 //! 1. **Interner determinism** — equal strings always intern to the same
-//!    [`Sym`], distinct strings never alias, and serde round-trips the
-//!    *string* (ids must never leak into artifacts).
+//!    [`Sym`] and hash equally, distinct strings never alias, every empty
+//!    `Sym` is the same one, and serde round-trips the *string* (addresses
+//!    must never leak into artifacts).
 //! 2. **Relayout is a pure function of the serialized page** — after any
 //!    sequence of widget mutations and subtree removals, [`Page::relayout`]
 //!    of the page and of its `serde_json` round trip produce byte-identical
 //!    pages and frames: no layout input lives outside what serializes.
+
+use std::hash::{BuildHasher, RandomState};
 
 use eclair_gui::{intern, Page, PageBuilder, Sym, WidgetId};
 use proptest::prelude::*;
@@ -23,6 +26,7 @@ proptest! {
             // Re-interning is idempotent: same handle, forever.
             prop_assert_eq!(intern(s), *sym);
         }
+        let hasher = RandomState::new();
         for i in 0..strings.len() {
             for j in 0..strings.len() {
                 prop_assert_eq!(
@@ -30,18 +34,32 @@ proptest! {
                     syms[i] == syms[j],
                     "content equality and handle equality must coincide"
                 );
+                if syms[i] == syms[j] {
+                    prop_assert_eq!(hasher.hash_one(syms[i]), hasher.hash_one(syms[j]));
+                }
             }
         }
     }
 
     #[test]
-    fn interner_serde_writes_the_string_not_the_id(s in "[a-zA-Z0-9 ./-]{0,24}") {
+    fn interner_serde_writes_the_string_not_the_address(s in "[a-zA-Z0-9 ./-]{0,24}") {
         let sym = intern(&s);
         let json = serde_json::to_string(&sym).unwrap();
         prop_assert_eq!(&json, &serde_json::to_string(&s).unwrap());
         let back: Sym = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, sym);
     }
+}
+
+#[test]
+fn every_empty_sym_is_the_same_sym() {
+    let hasher = RandomState::new();
+    for empty in [intern(""), Sym::default(), Sym::from("")] {
+        assert_eq!(empty, Sym::EMPTY);
+        assert_eq!(hasher.hash_one(empty), hasher.hash_one(Sym::EMPTY));
+        assert!(empty.is_empty());
+    }
+    assert_ne!(intern("x"), Sym::EMPTY);
 }
 
 /// A page with enough structure for mutations to matter: nested sections,

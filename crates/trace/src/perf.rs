@@ -46,11 +46,13 @@ pub struct PerfCounters {
     /// cache, so it always reads 0. It stays because the wall-clock
     /// benchmark reports it as `gui.layout.cache_replays`.
     pub layout_cache_hits: u64,
-    /// String-interner lookups that found an existing entry.
+    /// String-interner lookups that found an existing entry, in the
+    /// calling thread's front table or in the global table.
     pub intern_hits: u64,
     /// String-interner lookups that inserted a new entry.
     pub intern_misses: u64,
-    /// High-water size of the intern table as observed by this thread.
+    /// High-water size of the intern table as observed by this thread's
+    /// misses.
     /// This is a gauge, not a sum: [`merge`](Self::merge) takes the max so
     /// fleet-merged snapshots still report the true table size.
     pub intern_table_size: u64,
