@@ -1,9 +1,10 @@
 //! Micro-benchmarks over the substrates: layout, rendering, diffing,
-//! detection, perception, and a single grounding call — the per-step costs
-//! every experiment above is built from.
+//! detection, perception, text similarity, and a single grounding call —
+//! the per-step costs every experiment above is built from.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eclair_core::execute::ground::{ground_click, GroundView, GroundingStrategy};
+use eclair_fm::text::{edit_distance, fuzzy_similarity, Text};
 use eclair_fm::{FmModel, ModelProfile};
 use eclair_gui::PageBuilder;
 use eclair_sites::Site;
@@ -51,6 +52,22 @@ fn bench_substrates(c: &mut Criterion) {
     c.bench_function("fm/perceive", |b| {
         let mut model = FmModel::new(ModelProfile::gpt4v(), 1);
         b.iter(|| black_box(model.perceive(&shot)))
+    });
+    // Two short UI labels, as SOP inference compares them: each free call
+    // prepares both strings, a prepared pair only compares.
+    let (label, toast) = ("Create issue", "Issue created successfully");
+    c.bench_function("fm/fuzzy_similarity", |b| {
+        b.iter(|| black_box(fuzzy_similarity(black_box(label), black_box(toast))))
+    });
+    c.bench_function("fm/text_fuzzy_prepared", |b| {
+        let (label, toast) = (Text::new(label), Text::new(toast));
+        b.iter(|| black_box(black_box(&label).fuzzy(black_box(&toast))))
+    });
+    // Both sides longer than 64 chars: the DP path.
+    let long_a = "Row 7 body text for visual density, rendered twice to pass the word size";
+    let long_b = "Row 9 body text for visual density, re-rendered twice to pass the word size";
+    c.bench_function("fm/edit_distance_long", |b| {
+        b.iter(|| black_box(edit_distance(black_box(long_a), black_box(long_b))))
     });
     c.bench_function("core/ground_click_som_html", |b| {
         let mut model = FmModel::new(ModelProfile::gpt4v(), 2);

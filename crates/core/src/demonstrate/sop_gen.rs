@@ -17,6 +17,7 @@
 //!   dropout and ambiguous coordinate-only entries.
 
 use eclair_fm::percept::{PerceivedElement, ScenePercept};
+use eclair_fm::text::Text;
 use eclair_fm::FmModel;
 use eclair_gui::{Key, Rect, UserEvent, VisualClass};
 use eclair_vision::diff::diff;
@@ -77,6 +78,7 @@ pub fn generate_sop(
 fn steps_from_key_frames(model: &mut FmModel, rec: &Recording) -> Vec<String> {
     let kf_cfg = KeyFrameConfig { min_diff: 0.002 };
     let kfs = extract_key_frames(rec, kf_cfg);
+    let wd = Text::new(&rec.workflow_description);
     let mut steps = Vec::new();
     // First-seen text per input-box location. A field that later shows its
     // first-seen text again has *reverted* (the form reset when a submit
@@ -144,9 +146,7 @@ fn steps_from_key_frames(model: &mut FmModel, rec: &Recording) -> Vec<String> {
         }
         // 3. Same-page click: something changed but no field/toggle did.
         //    Attribute the click to an interactive element near the change.
-        if let Some(step) =
-            infer_same_page_click(model, &rec.workflow_description, &pa, &pb, &d.regions)
-        {
+        if let Some(step) = infer_same_page_click(model, &wd, &pa, &pb, &d.regions) {
             steps.push(step);
         }
         // else: the transition leaves no readable trace — a missing step.
@@ -183,17 +183,20 @@ fn infer_navigation(
     // Texts that are NEW on the landing page (a confirmation toast names
     // the button that triggered the navigation: "Issue created" ← "Create
     // issue"). Persisting chrome (nav links) must not count.
-    let new_texts: Vec<&str> = pb
+    let new_texts: Vec<Text> = pb
         .elements
         .iter()
         .filter(|e| !e.text.is_empty())
         .filter(|e| !pa.elements.iter().any(|o| o.text == e.text))
-        .map(|e| e.text.as_str())
+        .map(|e| Text::new(&e.text))
         .collect();
+    let (heading_text, url_tail_text) = (Text::new(&heading), Text::new(&url_tail));
     let mut best: Option<(&PerceivedElement, f64)> = None;
     for c in &candidates {
-        let s = eclair_fm::text::fuzzy_similarity(&c.text, &heading)
-            .max(eclair_fm::text::fuzzy_similarity(&c.text, &url_tail))
+        let ct = Text::new(&c.text);
+        let s = ct
+            .fuzzy(&heading_text)
+            .max(ct.fuzzy(&url_tail_text))
             .max(
                 new_texts
                     .iter()
@@ -201,13 +204,12 @@ fn infer_navigation(
                         // Stemmed overlap lets a past-tense confirmation
                         // name its trigger ("Issue created" ← "Create
                         // issue") despite the inflection.
-                        eclair_fm::text::fuzzy_similarity(&c.text, t)
-                            .max(eclair_fm::text::stem_overlap(&c.text, t))
+                        ct.fuzzy(t).max(ct.stem_overlap(t))
                     })
                     .fold(0.0f64, f64::max)
                     * 0.9,
             )
-            .max(if nav_semantically_related(&c.text, &heading) {
+            .max(if nav_semantically_related(&ct, &heading_text) {
                 0.5
             } else {
                 0.0
@@ -248,13 +250,11 @@ const NAV_LEXICON: &[(&str, &str)] = &[
     ("profile", "user"),
 ];
 
-fn nav_semantically_related(label: &str, heading: &str) -> bool {
-    let l = eclair_fm::text::tokens(label);
-    let h = eclair_fm::text::tokens(heading);
-    NAV_LEXICON.iter().any(|(a, b)| {
-        (l.iter().any(|t| t == a) && h.iter().any(|t| t == b))
-            || (l.iter().any(|t| t == b) && h.iter().any(|t| t == a))
-    })
+fn nav_semantically_related(label: &Text, heading: &Text) -> bool {
+    let has = |text: &Text, word: &str| text.tokens().any(|t| t == word);
+    NAV_LEXICON
+        .iter()
+        .any(|(a, b)| (has(label, a) && has(heading, b)) || (has(label, b) && has(heading, a)))
 }
 
 /// Two rects that denote the same widget across frames (location match
@@ -337,7 +337,7 @@ fn changed_inputs(
 
 fn infer_same_page_click(
     model: &mut FmModel,
-    wd: &str,
+    wd: &Text,
     pa: &ScenePercept,
     pb: &ScenePercept,
     regions: &[Rect],
@@ -410,37 +410,32 @@ fn infer_same_page_click(
     } else {
         None
     };
-    let new_texts: Vec<&str> = pb
+    let pa_texts: Vec<Text> = pa.elements.iter().map(|o| Text::new(&o.text)).collect();
+    let new_texts: Vec<Text> = pb
         .elements
         .iter()
         .filter(|e| !e.text.is_empty() && e.visual != eclair_gui::VisualClass::IconGlyph)
-        .filter(|e| {
-            // "New" means no close match existed before — exact equality
-            // would count every OCR re-read as fresh content.
-            !pa.elements
-                .iter()
-                .any(|o| eclair_fm::text::fuzzy_similarity(&o.text, &e.text) > 0.85)
-        })
         .filter(|e| {
             opened_modal_panel
                 .map(|panel| panel.inflate(24).intersects(&e.rect))
                 .unwrap_or(true)
         })
-        .map(|e| e.text.as_str())
+        .map(|e| Text::new(&e.text))
+        // "New" means no close match existed before — exact equality
+        // would count every OCR re-read as fresh content.
+        .filter(|t| !pa_texts.iter().any(|o| o.fuzzy(t) > 0.85))
         .collect();
     let mut best = 0usize;
     let mut best_score = -1.0f64;
     for (i, cand) in pick_from.iter().enumerate() {
+        let ct = Text::new(&cand.text);
         let from_effects = new_texts
             .iter()
-            .map(|t| {
-                eclair_fm::text::fuzzy_similarity(&cand.text, t)
-                    .max(eclair_fm::text::stem_overlap(&cand.text, t))
-            })
+            .map(|t| ct.fuzzy(t).max(ct.stem_overlap(t)))
             .fold(0.0f64, f64::max);
         // The workflow description also hints at what was clicked
         // ("Invite jill.woo..." names the Invite button).
-        let from_wd = 0.8 * eclair_fm::text::stem_overlap(&cand.text, wd);
+        let from_wd = 0.8 * ct.stem_overlap(wd);
         let proximity = if near_change(&cand.rect) { 0.15 } else { 0.0 };
         // A button that vanished in the after-frame very likely was the
         // one clicked ("Close issue" → "Reopen issue" swaps).
@@ -452,7 +447,7 @@ fn infer_same_page_click(
                 "ok", "yes", "confirm", "continue", "apply", "archive", "save", "submit",
             ]
             .iter()
-            .any(|a| cand.text.to_lowercase().starts_with(a))
+            .any(|a| ct.lower().starts_with(a))
         {
             0.25
         } else {

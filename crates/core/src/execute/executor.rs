@@ -2,6 +2,7 @@
 //! recover. This is the system whose end-to-end completion rate Table 2
 //! reports (0.17 without an SOP, 0.40 with one).
 
+use eclair_fm::text::Text;
 use eclair_fm::FmModel;
 use eclair_gui::event::EffectKind;
 use eclair_gui::{GuiSurface, Key, UserEvent, VisualClass};
@@ -513,8 +514,8 @@ fn escape_modal_in_view<S: GuiSurface>(
         return false;
     }
     let query = match intent {
-        StepIntent::Click { target } => target.clone(),
-        other => crate::execute::suggest::intent_text(other),
+        StepIntent::Click { target } => Text::new(target),
+        other => Text::new(&crate::execute::suggest::intent_text(other)),
     };
     // Texts plausibly inside the modal: elements overlapping the modal
     // panel region. The dialog panel is the *topmost* wide text-free panel
@@ -536,7 +537,7 @@ fn escape_modal_in_view<S: GuiSurface>(
         .elements
         .iter()
         .filter(|e| e.rect.intersects(&panel) && !e.text.is_empty())
-        .any(|e| eclair_fm::text::fuzzy_similarity(&e.text, &query) > 0.4);
+        .any(|e| Text::new(&e.text).fuzzy(&query) > 0.4);
     if relevant {
         return false;
     }

@@ -8,7 +8,7 @@
 //! lack these.
 
 use eclair_fm::sampling::Judgment;
-use eclair_fm::text::{fuzzy_similarity, tokens};
+use eclair_fm::text::{tokens, Text};
 use eclair_fm::FmModel;
 use eclair_gui::VisualClass;
 use eclair_vision::frame::Recording;
@@ -64,12 +64,12 @@ fn completion_judgment(model: &mut FmModel, rec: &Recording, wd: &str) -> Judgme
     let quoted = quoted_strings(wd);
     if !quoted.is_empty() {
         let seen = quoted.iter().all(|q| {
-            let ql = q.to_lowercase();
-            final_text.contains(&ql)
+            let q = Text::new(q);
+            final_text.contains(q.lower())
                 || percept
                     .elements
                     .iter()
-                    .any(|e| fuzzy_similarity(&e.text, q) > 0.8)
+                    .any(|e| Text::new(&e.text).fuzzy(&q) > 0.8)
         });
         evidence += if seen { 0.25 } else { -0.1 };
     }

@@ -19,7 +19,7 @@ use eclair_vision::marks::Mark;
 
 use crate::percept::ScenePercept;
 use crate::profile::ModelProfile;
-use crate::text::fuzzy_similarity;
+use crate::text::Text;
 
 /// The result of a grounding call.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,24 +139,21 @@ const ROLE_WORDS: &[&str] = &[
     "box", "input", "area",
 ];
 
-fn core_terms(description: &str) -> Vec<String> {
-    crate::text::tokens(description)
-        .into_iter()
-        .filter(|t| !ROLE_WORDS.contains(&t.as_str()))
-        .collect()
-}
-
 /// Score every mark against a description. Public so experiments can
 /// inspect the ranking the model saw.
 pub fn score_marks(description: &str, marks: &[Mark]) -> Vec<(u32, f64)> {
-    let lower = description.to_lowercase();
+    let description = Text::new(description);
+    let lower = description.lower();
     let wants_button = lower.contains("button") || lower.contains("link") || lower.contains("tab");
     let wants_field = lower.contains("field")
         || lower.contains("dropdown")
         || lower.contains("box")
         || lower.contains("area");
-    let core = core_terms(description);
-    let core_joined = core.join(" ");
+    let core: Vec<&str> = description
+        .tokens()
+        .filter(|t| !ROLE_WORDS.contains(t))
+        .collect();
+    let core_joined = Text::new(&core.join(" "));
     marks
         .iter()
         .map(|m| {
@@ -165,16 +162,18 @@ pub fn score_marks(description: &str, marks: &[Mark]) -> Vec<(u32, f64)> {
                 // remain — worth very little.
                 0.05
             } else {
-                let text_tokens = crate::text::tokens(&m.text);
-                let all_present = !core.is_empty() && core.iter().all(|t| text_tokens.contains(t));
+                let text = Text::new(&m.text);
+                let all_present =
+                    !core.is_empty() && core.iter().all(|q| text.tokens().any(|t| t == *q));
                 // Subword agreement ("Ship" ↔ "Create shipment") keeps a
                 // relabeled control findable — the semantic robustness that
                 // separates FM grounding from string-matching selectors.
                 let subword = core
                     .iter()
-                    .any(|q| q.len() >= 4 && text_tokens.iter().any(|t| t.contains(q.as_str())));
-                let base = fuzzy_similarity(&m.text, &core_joined)
-                    .max(crate::text::stem_overlap(&m.text, &core_joined) * 0.9);
+                    .any(|q| q.len() >= 4 && text.tokens().any(|t| t.contains(q)));
+                let base = text
+                    .fuzzy(&core_joined)
+                    .max(text.stem_overlap(&core_joined) * 0.9);
                 if all_present {
                     base.max(0.75)
                 } else if subword {

@@ -14,6 +14,7 @@ use eclair_gui::{Rect, Screenshot, VisualClass};
 use eclair_vision::ocr::{read_item, Acuity};
 
 use crate::profile::ModelProfile;
+use crate::text::Text;
 
 /// One element as the model perceives it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,12 +83,13 @@ impl ScenePercept {
     /// Best-matching element for a text description (fuzzy), if any scores
     /// above `min_sim`.
     pub fn best_match(&self, description: &str, min_sim: f64) -> Option<(usize, f64)> {
+        let description = Text::new(description);
         let mut best: Option<(usize, f64)> = None;
         for (i, e) in self.elements.iter().enumerate() {
             if e.text.is_empty() {
                 continue;
             }
-            let s = crate::text::fuzzy_similarity(&e.text, description);
+            let s = Text::new(&e.text).fuzzy(&description);
             if s >= min_sim && best.map(|(_, bs)| s > bs).unwrap_or(true) {
                 best = Some((i, s));
             }
